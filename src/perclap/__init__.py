@@ -21,7 +21,6 @@ from .isoperimetry import (
     linear_bound_check,
 )
 from .laplacian import ALL_BCS, BoundaryCondition, SymmetricOperator, assemble
-from .laplacian import chain_check, reflection_check
 from .lattice import (
     Cluster,
     LatticeBox,
@@ -34,10 +33,12 @@ from .lattice import (
 from .runner import run
 from .spectral import (
     EmpiricalIDS,
+    chain_check,
     count_leq,
     default_grid,
     eigenvalues,
     empirical_ids,
+    reflection_check,
     zero_mode_density,
 )
 from .tails import analytic_tail_fit, cluster_size_decay, fit_tail, ids_1d_series

@@ -69,10 +69,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigurationError("; ".join(problems))
 
     kwargs = dict(data)
-    if "boundary_conditions" in kwargs:
-        kwargs["boundary_conditions"] = tuple(kwargs["boundary_conditions"])
-    if "tail_window" in kwargs:
-        kwargs["tail_window"] = tuple(kwargs["tail_window"])
+    for key in ("boundary_conditions", "tail_window"):
+        if isinstance(kwargs.get(key), list):
+            kwargs[key] = tuple(kwargs[key])
     cfg = ExperimentConfig(**kwargs)
 
     problems = validate(cfg)
@@ -81,44 +80,60 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def validate(cfg: ExperimentConfig) -> list:
     problems = []
-    if not isinstance(cfg.d, int) or not 1 <= cfg.d <= 3:
+
+    def need_int(name, lowest):
+        value = getattr(cfg, name)
+        if not _is_int(value) or value < lowest:
+            problems.append(f"{name} must be an integer >= {lowest}, got {value!r}")
+
+    if not _is_int(cfg.d) or not 1 <= cfg.d <= 3:
         problems.append(f"d must be an integer in [1,3], got {cfg.d!r}")
-    if not isinstance(cfg.L, int) or cfg.L < 2:
-        problems.append(f"L must be an integer >= 2, got {cfg.L!r}")
-    if not isinstance(cfg.p, (int, float)) or not 0.0 < cfg.p < 1.0:
+    need_int("L", 2)
+    if not _is_real(cfg.p) or not 0.0 < cfg.p < 1.0:
         problems.append(f"p must satisfy 0 < p < 1, got {cfg.p!r}")
-    if not isinstance(cfg.realizations, int) or cfg.realizations < 1:
-        problems.append(f"realizations must be >= 1, got {cfg.realizations!r}")
+    need_int("realizations", 1)
     if cfg.task not in TASKS:
         problems.append(f"task must be one of {TASKS}, got {cfg.task!r}")
-    if not cfg.boundary_conditions or any(
-        b not in BC_NAMES for b in cfg.boundary_conditions
+    if (
+        not isinstance(cfg.boundary_conditions, (list, tuple))
+        or not cfg.boundary_conditions
+        or any(b not in BC_NAMES for b in cfg.boundary_conditions)
     ):
         problems.append(
             f"boundary_conditions must be a nonempty subset of {BC_NAMES}, "
             f"got {cfg.boundary_conditions!r}"
         )
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
-        problems.append(f"seed must be a nonnegative integer, got {cfg.seed!r}")
-    if cfg.grid_points < 2:
-        problems.append(f"grid_points must be >= 2, got {cfg.grid_points!r}")
-    if cfg.grid_refine < 0:
-        problems.append(f"grid_refine must be >= 0, got {cfg.grid_refine!r}")
+    need_int("seed", 0)
+    need_int("grid_points", 2)
+    need_int("grid_refine", 0)
     if cfg.tail_mode not in ("analytic", "mc"):
         problems.append(f"tail_mode must be 'analytic' or 'mc', got {cfg.tail_mode!r}")
-    if (
-        len(cfg.tail_window) != 2
-        or not 0.0 < cfg.tail_window[0] < cfg.tail_window[1]
+    width = 4 * cfg.d if _is_int(cfg.d) else float("inf")
+    if not (
+        isinstance(cfg.tail_window, (list, tuple))
+        and len(cfg.tail_window) == 2
+        and all(_is_real(x) for x in cfg.tail_window)
+        and 0.0 < cfg.tail_window[0] < cfg.tail_window[1] <= width
     ):
-        problems.append(f"tail_window must be [lo, hi] with 0 < lo < hi, got {cfg.tail_window!r}")
-    if cfg.decay_samples < 1:
-        problems.append(f"decay_samples must be >= 1, got {cfg.decay_samples!r}")
-    if cfg.decay_radius is not None and cfg.decay_radius < 2:
-        problems.append(f"decay_radius must be >= 2, got {cfg.decay_radius!r}")
-    if cfg.threads < 1:
-        problems.append(f"threads must be >= 1, got {cfg.threads!r}")
+        problems.append(
+            f"tail_window must be [lo, hi] with 0 < lo < hi <= 4d, got {cfg.tail_window!r}"
+        )
+    need_int("decay_samples", 1)
+    if cfg.decay_radius is not None:
+        need_int("decay_radius", 2)
+    need_int("threads", 1)
+    if not isinstance(cfg.emit_graph, bool):
+        problems.append(f"emit_graph must be true or false, got {cfg.emit_graph!r}")
     return problems
 
 

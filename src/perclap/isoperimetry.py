@@ -9,15 +9,14 @@ search-side floating error.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .exceptions import DomainError, UnsupportedSizeError
-from .laplacian import BoundaryCondition
+from .laplacian import ALL_BCS, BoundaryCondition
 from .lattice import Cluster, make_cubic_cluster, make_linear_cluster
-from .spectral import summarize
+from .spectral import cluster_eigenvalues, cluster_spectra, lowest_nonzero, summarize
 
 EXHAUSTIVE_CUTOFF = 20
+MARGIN_TOL = 1e-12  # a bound margin below -MARGIN_TOL is a violation
 
 
 def cheeger_constant(cluster: Cluster) -> Fraction:
@@ -37,28 +36,42 @@ def lowest_nonzero_neumann(cluster: Cluster) -> float:
     return summarize(cluster, BoundaryCondition.NEUMANN).lowest_nonzero
 
 
-def check_cheeger(cluster: Cluster) -> float:
+def cheeger_margin(e1_n: float, h: Fraction, d: int) -> float:
     """Margin of E1_N >= h_Ch^2 / (4d); nonnegative when the bound holds."""
+    return e1_n - float(h * h) / (4 * d)
+
+
+def crude_margin(e1_n: float, n: int, d: int) -> float:
+    """Margin of E1_N >= 1/(d |V|^2); valid for clusters of any size."""
+    return e1_n - 1.0 / (d * n * n)
+
+
+def check_cheeger(cluster: Cluster) -> float:
+    """Cheeger margin of one cluster of at most EXHAUSTIVE_CUTOFF vertices."""
     h = cheeger_constant(cluster)
-    bound = float(h * h) / (4 * cluster.d)
-    return lowest_nonzero_neumann(cluster) - bound
+    return cheeger_margin(lowest_nonzero_neumann(cluster), h, cluster.d)
 
 
 def check_crude_cheeger(cluster: Cluster) -> float:
-    """Margin of E1_N >= 1/(d |V|^2); valid for clusters of any size."""
+    """Crude-gap margin of one cluster of at least 2 vertices."""
     n = cluster.n_vertices
     if n < 2:
         raise DomainError("crude Cheeger bound needs at least 2 vertices")
-    return lowest_nonzero_neumann(cluster) - 1.0 / (cluster.d * n * n)
+    return crude_margin(lowest_nonzero_neumann(cluster), n, cluster.d)
 
 
-def fk_ratio(cluster: Cluster) -> float:
-    """E1_Dt * |V|^(2/d), the scale-free Faber-Krahn ratio."""
+def fk_ratio(cluster: Cluster, spectra=None) -> float:
+    """E1_Dt * |V|^(2/d), the scale-free Faber-Krahn ratio.
+
+    ``spectra`` are the cluster's spectra from :func:`cluster_spectra`;
+    without them the spectrum is looked up in the default cache.
+    """
     n = cluster.n_vertices
     if n < 2:
         raise DomainError("Faber-Krahn ratio needs at least 2 vertices")
-    e1 = summarize(cluster, BoundaryCondition.PSEUDO_DIRICHLET).lowest_nonzero
-    return e1 * n ** (2.0 / cluster.d)
+    bc = BoundaryCondition.PSEUDO_DIRICHLET
+    eigs = cluster_eigenvalues(cluster, bc) if spectra is None else spectra[bc]
+    return lowest_nonzero(eigs, bc) * n ** (2.0 / cluster.d)
 
 
 def estimate_fk_constant(cluster_list) -> float:
@@ -94,26 +107,40 @@ class IsoperimetryReport:
     crude_margin: float
     fk_ratio: float
 
+    @property
+    def cheeger_violated(self) -> bool:
+        return self.cheeger_margin is not None and self.cheeger_margin < -MARGIN_TOL
 
-def report_cluster(cluster: Cluster) -> IsoperimetryReport:
-    if cluster.n_vertices < 2:
+    @property
+    def crude_violated(self) -> bool:
+        return self.crude_margin < -MARGIN_TOL
+
+
+def report_cluster(cluster: Cluster, spectra=None) -> IsoperimetryReport:
+    """Gaps, Cheeger and crude margins and FK ratio of one cluster.
+
+    ``spectra`` are the cluster's spectra from :func:`cluster_spectra`;
+    without them they are looked up in the default cache.
+    """
+    n, d = cluster.n_vertices, cluster.d
+    if n < 2:
         raise DomainError("isoperimetry report needs at least 2 vertices")
-    e1_n = lowest_nonzero_neumann(cluster)
-    e1_dt = summarize(cluster, BoundaryCondition.PSEUDO_DIRICHLET).lowest_nonzero
-    e1_d = summarize(cluster, BoundaryCondition.DIRICHLET).lowest_nonzero
-    if cluster.n_vertices <= EXHAUSTIVE_CUTOFF:
+    if spectra is None:
+        spectra = cluster_spectra(cluster)
+    e1_n, e1_dt, e1_d = (lowest_nonzero(spectra[bc], bc) for bc in ALL_BCS)
+    if n <= EXHAUSTIVE_CUTOFF:
         h = cheeger_constant(cluster)
-        ch_margin = e1_n - float(h * h) / (4 * cluster.d)
+        ch_margin = cheeger_margin(e1_n, h, d)
     else:
         h = None
         ch_margin = None
     return IsoperimetryReport(
-        n_vertices=cluster.n_vertices,
+        n_vertices=n,
         e1_neumann=e1_n,
         e1_pseudo_dirichlet=e1_dt,
         e1_dirichlet=e1_d,
         h_cheeger=h,
         cheeger_margin=ch_margin,
-        crude_margin=check_crude_cheeger(cluster),
-        fk_ratio=fk_ratio(cluster),
+        crude_margin=crude_margin(e1_n, n, d),
+        fk_ratio=fk_ratio(cluster, spectra),
     )

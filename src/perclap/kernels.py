@@ -1,15 +1,11 @@
-"""Hot numeric kernels: counter-based RNG, union-find, Cheeger cut search.
+"""Hot numeric kernels: counter-based RNG, cluster labeling, Cheeger cut search.
 
-Every kernel exists in two variants, a numba-compiled one and a pure-numpy
-one, selected at import time by :mod:`perclap.jitshim`.  The variants are
-bit-identical: the RNG is a splitmix64 finalizer evaluated per counter
-value, so edge decisions depend only on (seed, edge index) and never on
-iteration order.
+All kernels are vectorized numpy.  The RNG is a splitmix64 finalizer
+evaluated per counter value, so edge decisions depend only on
+(seed, edge index) and never on iteration order.
 """
 
 import numpy as np
-
-from .jitshim import NUMBA_ENABLED, njit
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -40,7 +36,8 @@ def derive_seed(master: int, index: int) -> int:
 # per-edge uniforms
 
 
-def uniforms_numpy(seed: int, n: int) -> np.ndarray:
+def edge_uniforms(seed: int, n: int) -> np.ndarray:
+    """Uniforms on [0, 1) for counters 1..n of stream ``seed``."""
     i = np.arange(1, n + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + i * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -49,38 +46,17 @@ def uniforms_numpy(seed: int, n: int) -> np.ndarray:
     return (z >> np.uint64(11)) * _INV53
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _uniforms_jit(seed, n):
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            z = seed + np.uint64(i + 1) * np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
-            out[i] = (z >> np.uint64(11)) * _INV53
-        return out
-
-    def uniforms_numba(seed: int, n: int) -> np.ndarray:
-        return _uniforms_jit(np.uint64(seed & _MASK64), n)
-
-    edge_uniforms = uniforms_numba
-else:
-    uniforms_numba = None
-    edge_uniforms = uniforms_numpy
-
-
 def edge_open_mask(seed: int, n: int, p: float) -> np.ndarray:
     """Openness of the ``n`` candidate edges of one realization."""
     return edge_uniforms(seed, n) < p
 
 
 # ---------------------------------------------------------------------------
-# union-find cluster labeling
+# cluster labeling
 
 
-def component_roots_numpy(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+def component_roots(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Root (minimal vertex) of each vertex's connected component."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -95,47 +71,12 @@ def component_roots_numpy(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np
     return minvert[labels]
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _roots_jit(n_vertices, eu, ev):
-        parent = np.arange(n_vertices, dtype=np.int64)
-        for k in range(eu.shape[0]):
-            u = eu[k]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            v = ev[k]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            # union by smaller index: final root is the minimal vertex
-            if u < v:
-                parent[v] = u
-            elif v < u:
-                parent[u] = v
-        for i in range(n_vertices):
-            r = i
-            while parent[r] != r:
-                r = parent[r]
-            parent[i] = r
-        return parent
-
-    def component_roots_numba(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-        return _roots_jit(n_vertices, np.ascontiguousarray(eu, dtype=np.int64),
-                          np.ascontiguousarray(ev, dtype=np.int64))
-
-    component_roots = component_roots_numba
-else:
-    component_roots_numba = None
-    component_roots = component_roots_numpy
-
-
 # ---------------------------------------------------------------------------
 # exhaustive Cheeger cut
 
 
-def best_cheeger_cut_numpy(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
+def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
+    """Minimal (|boundary edges|, |W|) ratio over subsets W with 2|W| <= n."""
     total = 1 << n_vertices
     best_b, best_w = -1, 1
     eu = eu.astype(np.uint32)
@@ -157,38 +98,3 @@ def best_cheeger_cut_numpy(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
         if best_b < 0 or b[j] * best_w < best_b * w[j]:
             best_b, best_w = int(b[j]), int(w[j])
     return best_b, best_w
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _cut_jit(n_vertices, eu, ev):
-        m = eu.shape[0]
-        best_b = -1
-        best_w = 1
-        for mask in range(1, 1 << n_vertices):
-            t = mask
-            w = 0
-            while t:
-                t &= t - 1
-                w += 1
-            if 2 * w > n_vertices:
-                continue
-            b = 0
-            for k in range(m):
-                if ((mask >> eu[k]) ^ (mask >> ev[k])) & 1:
-                    b += 1
-            if best_b < 0 or b * best_w < best_b * w:
-                best_b = b
-                best_w = w
-        return best_b, best_w
-
-    def best_cheeger_cut_numba(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
-        b, w = _cut_jit(n_vertices, np.ascontiguousarray(eu, dtype=np.int64),
-                        np.ascontiguousarray(ev, dtype=np.int64))
-        return int(b), int(w)
-
-    best_cheeger_cut = best_cheeger_cut_numba
-else:
-    best_cheeger_cut_numba = None
-    best_cheeger_cut = best_cheeger_cut_numpy

@@ -68,38 +68,3 @@ def assemble(cluster: Cluster, bc: BoundaryCondition) -> SymmetricOperator:
         mat[u, v] = -1
         mat[v, u] = -1
     return SymmetricOperator(cluster, bc, mat)
-
-
-def _sorted_eigs(cluster, bc):
-    return np.linalg.eigvalsh(assemble(cluster, bc).matrix.astype(np.float64))
-
-
-def reflection_check(cluster: Cluster, tol: float):
-    """Dirichlet spectrum vs the reflected Neumann spectrum.
-
-    Returns (ok, max absolute deviation) for the entrywise comparison of
-    sorted spec(Dirichlet) with 4d - reversed sorted spec(Neumann).
-    """
-    e_n = _sorted_eigs(cluster, BoundaryCondition.NEUMANN)
-    e_d = _sorted_eigs(cluster, BoundaryCondition.DIRICHLET)
-    dev = float(np.max(np.abs(e_d - (4 * cluster.d - e_n[::-1]))))
-    return dev <= tol, dev
-
-
-def chain_check(cluster: Cluster, grid, tol: float) -> bool:
-    """Eigenvalue-count ordering N >= Dt >= D on an energy grid.
-
-    Also requires every eigenvalue to lie in [-tol, 4d + tol].
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("energy grid must be nonempty")
-    width = 4 * cluster.d
-    counts = []
-    for bc in ALL_BCS:
-        eigs = _sorted_eigs(cluster, bc)
-        if eigs[0] < -tol or eigs[-1] > width + tol:
-            return False
-        counts.append(np.searchsorted(eigs, grid, side="right"))
-    c_n, c_dt, c_d = counts
-    return bool(np.all(c_n >= c_dt) and np.all(c_dt >= c_d))

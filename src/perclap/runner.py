@@ -9,37 +9,34 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import kernels
 from .config import ExperimentConfig
 from .exceptions import DomainError, PerclapError
-from .isoperimetry import EXHAUSTIVE_CUTOFF, cheeger_constant, fk_ratio
-from .laplacian import ALL_BCS, BoundaryCondition
+from .isoperimetry import report_cluster
+from .laplacian import ALL_BCS
 from .lattice import LatticeBox, clusters, graph_to_json_dict, sample_graph
 from .spectral import (
-    cluster_eigenvalues,
+    REFLECTION_MAX_VERTICES,
+    REFLECTION_TOL,
+    chain_holds,
+    cluster_spectra,
     default_grid,
     empirical_ids,
+    range_violations,
+    reflection_deviation,
     zero_tolerance,
 )
 from .tails import analytic_tail_fit, cluster_size_decay, fit_tail
 
 _BC_BY_NAME = {bc.value: bc for bc in ALL_BCS}
 
-EXPECTED_SLOPES = {
-    ("N", "lower"): -0.5,
-    ("Dt", "lower"): None,  # -d/2, filled at runtime
-    ("D", "lower"): None,
-    ("D", "upper"): -0.5,
-    ("N", "upper"): None,
-    ("Dt", "upper"): None,
-}
-
 
 def expected_slope(bc_name: str, edge: str, d: int) -> float:
-    v = EXPECTED_SLOPES[(bc_name, edge)]
-    return v if v is not None else -d / 2.0
+    """Band-edge tail exponent: -1/2 at the Neumann lower and the Dirichlet
+    upper edge, -d/2 at every other edge."""
+    if (bc_name, edge) in (("N", "lower"), ("D", "upper")):
+        return -0.5
+    return -d / 2.0
 
 
 def _fmt(x: float) -> str:
@@ -71,8 +68,7 @@ def _sample_ensemble(cfg: ExperimentConfig):
     ]
 
 
-def _run_ids(cfg, graphs, grid, outputs, out):
-    cache = {}
+def _run_ids(cfg, graphs, grid, outputs, out, cache):
     for name in cfg.boundary_conditions:
         bc = _BC_BY_NAME[name]
         ids = empirical_ids(graphs, bc, grid=grid, cache=cache, threads=cfg.threads)
@@ -92,55 +88,40 @@ def _run_ids(cfg, graphs, grid, outputs, out):
         outputs[sname] = _write_json(out / sname, summary)
 
 
-def _run_verify(cfg, graphs, grid, outputs, out):
+def _report_row(rep) -> str:
+    """One report.csv row; the Cheeger fields are empty above the cutoff."""
+    h = "" if rep.h_cheeger is None else _fmt(rep.h_cheeger)
+    margin = "" if rep.cheeger_margin is None else _fmt(rep.cheeger_margin)
+    return (
+        f"{rep.n_vertices},{_fmt(rep.e1_neumann)},{_fmt(rep.e1_pseudo_dirichlet)},"
+        f"{_fmt(rep.e1_dirichlet)},{h},{margin},{_fmt(rep.crude_margin)},"
+        f"{_fmt(rep.fk_ratio)}"
+    )
+
+
+def _run_verify(cfg, graphs, grid, outputs, out, cache):
     tol = zero_tolerance(cfg.d)
-    width = 4 * cfg.d
-    cache = {}
     rows = []
     violations = {"reflection": 0, "chain": 0, "cheeger": 0, "crude": 0, "range": 0}
     checked = 0
     fk_min = None
     for g in graphs:
         for c in clusters(g):
-            eigs = {bc: cluster_eigenvalues(c, bc, cache) for bc in ALL_BCS}
-            e_n = eigs[BoundaryCondition.NEUMANN]
-            e_dt = eigs[BoundaryCondition.PSEUDO_DIRICHLET]
-            e_d = eigs[BoundaryCondition.DIRICHLET]
+            spectra = cluster_spectra(c, cache)
             checked += 1
-            for e in eigs.values():
-                if e[0] < -tol or e[-1] > width + tol:
-                    violations["range"] += 1
-            if c.n_vertices <= 500:
-                dev = float(np.max(np.abs(e_d - (width - e_n[::-1]))))
-                if dev > 1e-9:
-                    violations["reflection"] += 1
-            c_n = np.searchsorted(e_n, grid, side="right")
-            c_dt = np.searchsorted(e_dt, grid, side="right")
-            c_d = np.searchsorted(e_d, grid, side="right")
-            if not (np.all(c_n >= c_dt) and np.all(c_dt >= c_d)):
+            violations["range"] += range_violations(spectra, cfg.d, tol)
+            if (c.n_vertices <= REFLECTION_MAX_VERTICES
+                    and reflection_deviation(spectra, cfg.d) > REFLECTION_TOL):
+                violations["reflection"] += 1
+            if not chain_holds(spectra, grid):
                 violations["chain"] += 1
             if c.n_vertices < 2:
                 continue
-            e1_n = float(e_n[1])
-            e1_dt = float(e_dt[0])
-            e1_d = float(e_d[0])
-            crude = e1_n - 1.0 / (cfg.d * c.n_vertices**2)
-            if crude < -1e-12:
-                violations["crude"] += 1
-            if c.n_vertices <= EXHAUSTIVE_CUTOFF:
-                h = cheeger_constant(c)
-                ch_margin = e1_n - float(h * h) / width
-                if ch_margin < -1e-12:
-                    violations["cheeger"] += 1
-                h_str, ch_str = _fmt(float(h)), _fmt(ch_margin)
-            else:
-                h_str, ch_str = "", ""
-            ratio = fk_ratio(c)
-            fk_min = ratio if fk_min is None else min(fk_min, ratio)
-            rows.append(
-                f"{c.n_vertices},{_fmt(e1_n)},{_fmt(e1_dt)},{_fmt(e1_d)},"
-                f"{h_str},{ch_str},{_fmt(crude)},{_fmt(ratio)}"
-            )
+            rep = report_cluster(c, spectra)
+            violations["crude"] += rep.crude_violated
+            violations["cheeger"] += rep.cheeger_violated
+            fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
+            rows.append(_report_row(rep))
     header = "size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"
     outputs["report.csv"] = _write_text(out / "report.csv", "\n".join([header] + rows) + "\n")
     summary = {
@@ -151,7 +132,7 @@ def _run_verify(cfg, graphs, grid, outputs, out):
     outputs["verify_summary.json"] = _write_json(out / "verify_summary.json", summary)
 
 
-def _run_tails(cfg, graphs, grid, outputs, out):
+def _run_tails(cfg, graphs, grid, outputs, out, cache):
     if cfg.tail_mode == "analytic" and cfg.d != 1:
         raise DomainError(
             "analytic tail fits require d = 1; use tail_mode 'mc' for d >= 2"
@@ -161,7 +142,6 @@ def _run_tails(cfg, graphs, grid, outputs, out):
     if cfg.tail_mode == "mc":
         jobs = [(name, edge) for name in cfg.boundary_conditions
                 for edge in ("lower", "upper")]
-        cache = {}
         ids_by_bc = {
             name: empirical_ids(graphs, _BC_BY_NAME[name], grid=grid,
                                 cache=cache, threads=cfg.threads)
@@ -211,6 +191,7 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict = {}
     grid = default_grid(cfg.d, cfg.grid_points, cfg.grid_refine)
+    cache = {}  # (bc, cluster shape) -> spectrum, shared by every stage
 
     manifest = {"config": {**cfg.to_dict(), "task": task}, "outputs": outputs,
                 "status": "ok"}
@@ -224,14 +205,14 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
                 fname = f"graph_r{i:04d}.json"
                 outputs[fname] = _write_json(out / fname, graph_to_json_dict(g))
         if task in ("ids", "all"):
-            _run_ids(cfg, graphs, grid, outputs, out)
+            _run_ids(cfg, graphs, grid, outputs, out, cache)
         if task in ("verify", "all"):
-            _run_verify(cfg, graphs, grid, outputs, out)
+            _run_verify(cfg, graphs, grid, outputs, out, cache)
         if task in ("tails", "all"):
             if task == "all" and cfg.tail_mode == "analytic" and cfg.d != 1:
                 pass  # analytic series is one-dimensional only
             else:
-                _run_tails(cfg, graphs, grid, outputs, out)
+                _run_tails(cfg, graphs, grid, outputs, out, cache)
         if task in ("decay", "all"):
             _run_decay(cfg, outputs, out)
     except PerclapError as exc:

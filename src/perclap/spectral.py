@@ -103,6 +103,19 @@ def cluster_eigenvalues(cluster: Cluster, bc: BoundaryCondition, cache=None) -> 
     return eigs
 
 
+def cluster_spectra(cluster: Cluster, cache=None) -> dict:
+    """Cached spectra of one cluster under every boundary condition."""
+    return {bc: cluster_eigenvalues(cluster, bc, cache) for bc in ALL_BCS}
+
+
+def lowest_nonzero(eigs: np.ndarray, bc: BoundaryCondition) -> float:
+    """Spectral gap: the second Neumann eigenvalue (the first is the zero
+    mode), otherwise the first; NaN for a single Neumann eigenvalue."""
+    if bc is BoundaryCondition.NEUMANN:
+        return float(eigs[1]) if eigs.size >= 2 else float("nan")
+    return float(eigs[0])
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigenvalue list and spectral gap of one cluster."""
@@ -115,11 +128,58 @@ class SpectralSummary:
 
 def summarize(cluster: Cluster, bc: BoundaryCondition) -> SpectralSummary:
     eigs = cluster_eigenvalues(cluster, bc)
-    if bc is BoundaryCondition.NEUMANN:
-        e1 = float(eigs[1]) if eigs.size >= 2 else float("nan")
-    else:
-        e1 = float(eigs[0])
-    return SpectralSummary(cluster.n_vertices, bc, eigs, e1)
+    return SpectralSummary(cluster.n_vertices, bc, eigs, lowest_nonzero(eigs, bc))
+
+
+# Checks on the spectra of one cluster, as returned by cluster_spectra.
+# The [0, 4d] range check takes its tolerance from the caller (verify
+# uses zero_tolerance(d)).
+
+REFLECTION_TOL = 1e-9  # entrywise |spec(D) - (4d - spec(N))|
+REFLECTION_MAX_VERTICES = 500  # verify checks the reflection up to this size
+
+
+def range_violations(spectra: dict, d: int, tol: float) -> int:
+    """Number of spectra with an eigenvalue outside [-tol, 4d + tol]."""
+    width = 4 * d
+    return sum(1 for e in spectra.values() if e[0] < -tol or e[-1] > width + tol)
+
+
+def reflection_deviation(spectra: dict, d: int) -> float:
+    """Max entrywise |sorted spec(D) - (4d - reversed sorted spec(N))|."""
+    e_n = spectra[BoundaryCondition.NEUMANN]
+    e_d = spectra[BoundaryCondition.DIRICHLET]
+    return float(np.abs(e_d - (4 * d - e_n[::-1])).max())
+
+
+def chain_holds(spectra: dict, grid: np.ndarray) -> bool:
+    """Eigenvalue counts ordered N >= Dt >= D at every grid energy."""
+    c_n = np.searchsorted(spectra[BoundaryCondition.NEUMANN], grid, side="right")
+    c_dt = np.searchsorted(spectra[BoundaryCondition.PSEUDO_DIRICHLET], grid, side="right")
+    c_d = np.searchsorted(spectra[BoundaryCondition.DIRICHLET], grid, side="right")
+    # array methods rather than np.all: this runs once per cluster in verify
+    return bool((c_n >= c_dt).all() and (c_dt >= c_d).all())
+
+
+def reflection_check(cluster: Cluster, tol: float):
+    """Dirichlet spectrum vs the reflected Neumann spectrum.
+
+    Returns (ok, max absolute deviation), see :func:`reflection_deviation`.
+    """
+    dev = reflection_deviation(cluster_spectra(cluster), cluster.d)
+    return dev <= tol, dev
+
+
+def chain_check(cluster: Cluster, grid, tol: float) -> bool:
+    """Eigenvalue-count ordering N >= Dt >= D on an energy grid.
+
+    Also requires every eigenvalue to lie in [-tol, 4d + tol].
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0:
+        raise ValueError("energy grid must be nonempty")
+    spectra = cluster_spectra(cluster)
+    return range_violations(spectra, cluster.d, tol) == 0 and chain_holds(spectra, grid)
 
 
 def default_grid(d: int, points: int = 512, refine: int = 40) -> np.ndarray:

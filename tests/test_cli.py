@@ -57,6 +57,15 @@ def test_invalid_values_rejected():
         {**MINIMAL, "tail_mode": "magic"},
         {**MINIMAL, "tail_window": [1e-2, 1e-8]},
         {**MINIMAL, "threads": 0},
+        {**MINIMAL, "grid_points": 2.5},
+        {**MINIMAL, "threads": "2"},
+        {**MINIMAL, "d": True},
+        {**MINIMAL, "boundary_conditions": "N"},
+        {**MINIMAL, "tail_window": [0.5, 9]},
+        {**MINIMAL, "tail_window": "ab"},
+        {**MINIMAL, "tail_window": ["a", 1]},
+        {**MINIMAL, "decay_radius": "8"},
+        {**MINIMAL, "emit_graph": "yes"},
     ]:
         with pytest.raises(ConfigurationError):
             config_from_dict(bad)

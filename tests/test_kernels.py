@@ -1,18 +1,22 @@
-"""RNG and kernel-variant equivalence tests.
+"""RNG and kernel tests.
 
 The splitmix64 reference values are the published test vectors of the
-generator; everything else is checked either against an independent
-reimplementation or across the two kernel variants.
+generator; everything else is checked against an independent
+reimplementation: scalar splitmix64, DFS labeling, brute-force cuts.
 """
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perclap
 from perclap import LatticeBox, kernels, sample_graph
-from perclap.jitshim import NUMBA_ENABLED
-from perclap.kernels import derive_seed, edge_open_mask, splitmix64, uniforms_numpy
+from perclap.kernels import derive_seed, edge_open_mask, edge_uniforms, splitmix64
 
 # published sequence of splitmix64 seeded with 0: next() == finalize(state + golden)
 SPLITMIX_VECTORS = {
@@ -55,24 +59,16 @@ def test_derive_seed_positional_and_distinct():
 def test_uniforms_numpy_matches_scalar_path():
     # uniform i is the splitmix64 output for counter value seed + i*golden
     seed = derive_seed(9, 0)
-    arr = uniforms_numpy(seed, 64)
+    arr = edge_uniforms(seed, 64)
     want = [(splitmix64((seed + i * 0x9E3779B97F4A7C15) % 2**64) >> 11) * 2.0**-53
             for i in range(64)]
     assert arr.tolist() == want
 
 
 def test_uniforms_in_unit_interval_and_uniform_mean():
-    u = uniforms_numpy(derive_seed(1, 1), 200_000)
+    u = edge_uniforms(derive_seed(1, 1), 200_000)
     assert np.all((u >= 0.0) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 3 * (1 / np.sqrt(12)) / np.sqrt(u.size)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba variant disabled")
-def test_uniforms_variants_bit_identical():
-    for seed in (0, 1, derive_seed(123, 5), 2**64 - 1):
-        a = uniforms_numpy(seed, 4096)
-        b = kernels.uniforms_numba(seed, 4096)
-        assert np.array_equal(a, b)
 
 
 def test_edge_open_mask_density():
@@ -81,7 +77,7 @@ def test_edge_open_mask_density():
         assert abs(m.mean() - p) < 0.006
 
 
-def test_component_roots_variants_agree_with_dfs():
+def test_component_roots_agree_with_dfs():
     from conftest import dfs_components
 
     rng = np.random.default_rng(0)
@@ -91,10 +87,7 @@ def test_component_roots_variants_agree_with_dfs():
         eu = rng.integers(0, n, size=m).astype(np.int64)
         ev = rng.integers(0, n, size=m).astype(np.int64)
         want = dfs_components(n, eu, ev)
-        got = kernels.component_roots_numpy(n, eu, ev)
-        assert np.array_equal(got, want)
-        if NUMBA_ENABLED:
-            assert np.array_equal(kernels.component_roots_numba(n, eu, ev), want)
+        assert np.array_equal(kernels.component_roots(n, eu, ev), want)
 
 
 def _brute_force_cut(n, eu, ev):
@@ -109,7 +102,7 @@ def _brute_force_cut(n, eu, ev):
     return best
 
 
-def test_cheeger_cut_variants_match_brute_force():
+def test_cheeger_cut_matches_brute_force():
     rng = np.random.default_rng(1)
     for trial in range(15):
         n = int(rng.integers(2, 11))
@@ -117,37 +110,32 @@ def test_cheeger_cut_variants_match_brute_force():
         eu = rng.integers(0, n, size=m).astype(np.int64)
         ev = rng.integers(0, n, size=m).astype(np.int64)
         want = _brute_force_cut(n, eu.tolist(), ev.tolist())
-        got_np = kernels.best_cheeger_cut_numpy(n, eu, ev)
-        assert got_np[0] * want[1] == want[0] * got_np[1]
-        if NUMBA_ENABLED:
-            got_nb = kernels.best_cheeger_cut_numba(n, eu, ev)
-            assert got_nb[0] * want[1] == want[0] * got_nb[1]
+        got = kernels.best_cheeger_cut(n, eu, ev)
+        assert got[0] * want[1] == want[0] * got[1]
 
 
-def test_env_flag_selects_fallback_with_identical_output():
-    """PERCLAP_NUMBA=0 must import the numpy path and sample identically."""
-    import os
-    import subprocess
-    import sys
-
+def test_sampling_identical_across_processes():
+    """A fresh interpreter samples the same open edges as this one."""
+    src = str(Path(perclap.__file__).resolve().parents[1])
     script = (
-        "from perclap.jitshim import NUMBA_ENABLED\n"
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import hashlib\n"
         "from perclap import LatticeBox, sample_graph\n"
         "g = sample_graph(LatticeBox(2, 16), 0.5, 42)\n"
-        "print(NUMBA_ENABLED, g.open_eu.sum(), g.open_ev.sum())\n"
+        "print(hashlib.sha256(g.open_eu.tobytes() + g.open_ev.tobytes()).hexdigest())\n"
     )
-    env = dict(os.environ, PERCLAP_NUMBA="0", NUMBA_DISABLE_JIT="")
-    off = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert off.stdout.split()[0] == "False"
+    other = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, check=True)
     here = sample_graph(LatticeBox(2, 16), 0.5, 42)
-    assert off.stdout.split()[1:] == [str(here.open_eu.sum()), str(here.open_ev.sum())]
+    assert here.n_open_edges > 0
+    digest = hashlib.sha256(here.open_eu.tobytes() + here.open_ev.tobytes()).hexdigest()
+    assert other.stdout.strip() == digest
 
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=500))
 def test_uniforms_prefix_stability(seed, n):
     """The first n uniforms never depend on how many are requested."""
-    long = uniforms_numpy(seed, n + 17)
-    short = uniforms_numpy(seed, n)
+    long = edge_uniforms(seed, n + 17)
+    short = edge_uniforms(seed, n)
     assert np.array_equal(long[:n], short)

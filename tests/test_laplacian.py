@@ -6,13 +6,8 @@ import pytest
 from conftest import reference_laplacian
 from perclap import LatticeBox, clusters, make_cubic_cluster, make_linear_cluster, sample_graph
 from perclap.kernels import derive_seed
-from perclap.laplacian import (
-    ALL_BCS,
-    BoundaryCondition,
-    assemble,
-    chain_check,
-    reflection_check,
-)
+from perclap.laplacian import ALL_BCS, assemble
+from perclap.spectral import chain_check, reflection_check
 
 N, DT, D = ALL_BCS
 

@@ -1,6 +1,7 @@
 """Spectral computations: dense spectra, inertia counts, empirical IDS."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from perclap import (
     sample_graph,
     zero_mode_density,
 )
+from perclap import config_from_dict, run, spectral
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, BoundaryCondition, assemble
 from perclap.spectral import (
@@ -183,6 +185,33 @@ def test_spectrum_cache_shared_across_translates():
             cluster_eigenvalues(c, bc, cache)
     shapes = {c.canonical_key() for c in clusters(g) if c.n_vertices > 1}
     assert len(cache) == 3 * len(shapes)
+
+
+def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
+    """ids, verify, mc tails and the FK ratios share one spectrum cache."""
+    cfg = config_from_dict({
+        "d": 2, "L": 16, "p": 0.35, "realizations": 3, "seed": 5, "task": "all",
+        "grid_points": 64, "grid_refine": 8, "tail_mode": "mc",
+        "tail_window": [0.5, 4.0], "decay_samples": 2000,
+    })
+    solves = Counter()
+    solve = spectral.eigenvalues
+
+    def counting(op):
+        solves[(op.bc, op.cluster.canonical_key())] += 1
+        return solve(op)
+
+    monkeypatch.setattr(spectral, "_SPECTRUM_CACHE", {})
+    monkeypatch.setattr(spectral, "eigenvalues", counting)
+    assert run(cfg, tmp_path)["status"] == "ok"
+    shapes = {
+        c.canonical_key()
+        for i in range(cfg.realizations)
+        for c in clusters(sample_graph(LatticeBox(2, 16), 0.35, derive_seed(5, i)))
+        if c.n_vertices > 1
+    }
+    assert set(solves) == {(bc, key) for bc in ALL_BCS for key in shapes}
+    assert set(solves.values()) == {1}
 
 
 def test_volume_convergence_1d():
