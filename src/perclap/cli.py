@@ -1,18 +1,21 @@
 """Command-line entry point.
 
 Usage: perclap <task> --config <file> [--out <dir>] [--threads <n>]
-                [--emit-graph]
+                [--emit-graph] [-v/--log-level <level>]
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure.
 """
 
 import argparse
 import dataclasses
+import logging
 import sys
 
 from .config import TASKS, parse_config
 from .exceptions import ConfigurationError, PerclapError
 from .runner import run
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,11 +29,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--emit-graph", action="store_true",
                         help="dump each sampled realization as JSON")
+    parser.add_argument("-v", "--log-level", default="WARNING", type=str.upper,
+                        choices=LOG_LEVELS,
+                        help="least severe log records written to stderr (default WARNING)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = parse_config(args.config)
         if args.threads is not None:

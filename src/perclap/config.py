@@ -12,6 +12,8 @@ from .exceptions import ConfigurationError
 
 TASKS = ("ids", "verify", "tails", "decay", "all")
 BC_NAMES = ("N", "Dt", "D")
+# scipy.sparse.csgraph labels vertices with int32
+MAX_VERTICES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,16 @@ def validate(cfg: ExperimentConfig) -> list:
     need_int("threads", 1)
     if not isinstance(cfg.emit_graph, bool):
         problems.append(f"emit_graph must be true or false, got {cfg.emit_graph!r}")
+    if _is_int(cfg.d) and 1 <= cfg.d <= 3:
+        if _is_int(cfg.L) and cfg.L ** cfg.d > MAX_VERTICES:
+            problems.append(
+                f"box L**d = {cfg.L}**{cfg.d} exceeds {MAX_VERTICES} vertices"
+            )
+        if _is_int(cfg.decay_radius) and (2 * cfg.decay_radius + 1) ** cfg.d > MAX_VERTICES:
+            problems.append(
+                f"decay box (2*decay_radius+1)**d = {2 * cfg.decay_radius + 1}**{cfg.d} "
+                f"exceeds {MAX_VERTICES} vertices"
+            )
     return problems
 
 

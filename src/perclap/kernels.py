@@ -32,18 +32,36 @@ def derive_seed(master: int, index: int) -> int:
     return splitmix64((master & _MASK64) ^ splitmix64(index & _MASK64))
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 shift/multiply chain on uint64 arrays of states that
+    already carry the golden increment: ``splitmix64(x) == _mix(x + golden)``."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seeds(master: int, start: int, n: int) -> np.ndarray:
+    """``derive_seed(master, i)`` for i = start, ..., start + n - 1, as uint64."""
+    golden = np.uint64(_GOLDEN)
+    index = np.uint64(start & _MASK64) + np.arange(n, dtype=np.uint64)
+    return _mix((np.uint64(master & _MASK64) ^ _mix(index + golden)) + golden)
+
+
 # ---------------------------------------------------------------------------
 # per-edge uniforms
 
 
+def _counter_uniforms(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Uniform on [0, 1) for counter ``counters[k]`` of stream ``seeds[k]``
+    (uint64 arrays, broadcast); a draw depends only on that pair."""
+    z = _mix(seeds + counters * np.uint64(_GOLDEN))
+    return (z >> np.uint64(11)) * _INV53
+
+
 def edge_uniforms(seed: int, n: int) -> np.ndarray:
     """Uniforms on [0, 1) for counters 1..n of stream ``seed``."""
-    i = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + i * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)) * _INV53
+    return _counter_uniforms(np.uint64(seed & _MASK64),
+                             np.arange(1, n + 1, dtype=np.uint64))
 
 
 def edge_open_mask(seed: int, n: int, p: float) -> np.ndarray:
@@ -69,6 +87,43 @@ def component_roots(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarr
     minvert = np.full(labels.max() + 1, n_vertices, dtype=np.int64)
     np.minimum.at(minvert, labels, np.arange(n_vertices, dtype=np.int64))
     return minvert[labels]
+
+
+def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.ndarray,
+                       origin: int, seeds: np.ndarray, p: float):
+    """Size of the origin's cluster, and whether it reaches the wall, in
+    the realization of every stream in ``seeds`` at once.
+
+    ``neighbours[v, j]`` is the j-th lattice neighbour of vertex v (-1 past
+    the wall), ``edge_ids[v, j]`` the uint64 candidate-edge index of that
+    bond and ``wall[v]`` marks the vertices on the box wall.  One frontier
+    BFS from the origin runs across all streams and draws a bond only when
+    it leads to an unvisited vertex, with the uniform ``edge_uniforms``
+    gives that edge (counter ``edge index + 1``), so each cluster is exactly
+    the origin's cluster of the fully drawn realization.  Returns
+    ``(sizes, touched)``; memory is one bool per (stream, vertex).
+    """
+    n, (nv, degree) = seeds.size, neighbours.shape
+    visited = np.zeros(n * nv, dtype=bool)
+    sample = np.arange(n, dtype=np.int64)
+    vertex = np.full(n, origin, dtype=np.int64)
+    visited[sample * nv + vertex] = True
+    sizes = np.ones(n, dtype=np.int64)
+    touched = np.full(n, bool(wall[origin]))
+    while sample.size:
+        nbr = neighbours[vertex].ravel()
+        owner = np.repeat(sample, degree)
+        key = owner * nv + nbr
+        look = nbr >= 0
+        look[look] = ~visited[key[look]]
+        counters = edge_ids[vertex].ravel()[look] + np.uint64(1)
+        opened = _counter_uniforms(seeds[owner[look]], counters) < p
+        key = np.unique(key[look][opened])
+        visited[key] = True
+        sample, vertex = np.divmod(key, nv)
+        sizes += np.bincount(sample, minlength=n)
+        touched[sample[wall[vertex]]] = True
+    return sizes, touched
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .spectral import (
 from .tails import analytic_tail_fit, cluster_size_decay, fit_tail
 
 _BC_BY_NAME = {bc.value: bc for bc in ALL_BCS}
+ANALYTIC_TAILS_D1_ONLY = "analytic tail fits require d = 1"
 
 
 def expected_slope(bc_name: str, edge: str, d: int) -> float:
@@ -134,9 +135,7 @@ def _run_verify(cfg, graphs, grid, outputs, out, cache):
 
 def _run_tails(cfg, graphs, grid, outputs, out, cache):
     if cfg.tail_mode == "analytic" and cfg.d != 1:
-        raise DomainError(
-            "analytic tail fits require d = 1; use tail_mode 'mc' for d >= 2"
-        )
+        raise DomainError(f"{ANALYTIC_TAILS_D1_ONLY}; use tail_mode 'mc' for d >= 2")
     window = tuple(cfg.tail_window)
     jobs = [("N", "lower"), ("Dt", "lower"), ("D", "upper"), ("Dt", "upper")]
     if cfg.tail_mode == "mc":
@@ -210,7 +209,7 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
             _run_verify(cfg, graphs, grid, outputs, out, cache)
         if task in ("tails", "all"):
             if task == "all" and cfg.tail_mode == "analytic" and cfg.d != 1:
-                pass  # analytic series is one-dimensional only
+                manifest["skipped"] = {"tails": ANALYTIC_TAILS_D1_ONLY}
             else:
                 _run_tails(cfg, graphs, grid, outputs, out, cache)
         if task in ("decay", "all"):

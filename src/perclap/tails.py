@@ -7,6 +7,7 @@ eigenvalue counts.  The path formulas are validated against dense
 diagonalization in the test suite before being trusted here.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,12 @@ from .laplacian import BoundaryCondition
 from .lattice import LatticeBox
 from .spectral import EmpiricalIDS
 
+logger = logging.getLogger(__name__)
+
 TAIL_FLOOR_ANALYTIC = 1e-300
 DECAY_MIN_COUNT = 50
+# (sample x vertex) visited slots of one batch of the origin-cluster BFS
+DECAY_BATCH_SLOTS = 1 << 18
 
 # engineering caps well below the literature percolation thresholds;
 # the source analysis never states numeric p_c values
@@ -175,6 +180,46 @@ def _default_decay_radius(d: int, p: float) -> int:
     return 16 if d == 2 else 8
 
 
+def _neighbour_table(box: LatticeBox):
+    """(neighbours, edge_ids), each (n_vertices, 2d): the vertex across
+    each axis direction (-1 past the wall) and that bond's candidate-edge
+    index (uint64), as ``LatticeBox.candidate_edges`` numbers the edges."""
+    eu, ev = box.candidate_edges()
+    ids = np.arange(eu.size, dtype=np.uint64)
+    axis = np.repeat(np.arange(box.d), box.n_edges // box.d)
+    neighbours = np.full((box.n_vertices, 2 * box.d), -1, dtype=np.int64)
+    edge_ids = np.zeros(neighbours.shape, dtype=np.uint64)
+    neighbours[eu, 2 * axis + 1], edge_ids[eu, 2 * axis + 1] = ev, ids
+    neighbours[ev, 2 * axis], edge_ids[ev, 2 * axis] = eu, ids
+    return neighbours, edge_ids
+
+
+def origin_cluster_samples(d: int, p: float, samples: int, seed: int, radius: int):
+    """Origin-cluster size and wall contact of realizations 0..samples-1.
+
+    Realization i is bond percolation on the box of side 2*radius + 1
+    centred on the origin, drawn from ``derive_seed(seed, i)`` exactly as
+    ``sample_graph`` would draw it.  The BFS runs in batches of at most
+    ``DECAY_BATCH_SLOTS`` (sample x vertex) slots, one realization at least.
+    Returns ``(sizes, touched)``.
+    """
+    side = 2 * radius + 1
+    box = LatticeBox(d, side)
+    neighbours, edge_ids = _neighbour_table(box)
+    coords = box.coords(np.arange(box.n_vertices, dtype=np.int64))
+    wall = np.any((coords == 0) | (coords == side - 1), axis=1)
+    origin = int(box.linear_index(np.full(d, radius, dtype=np.int64)))
+    batch = max(1, DECAY_BATCH_SLOTS // box.n_vertices)
+    sizes = np.empty(samples, dtype=np.int64)
+    touched = np.empty(samples, dtype=bool)
+    for start in range(0, samples, batch):
+        stop = min(start + batch, samples)
+        seeds = kernels.derive_seeds(seed, start, stop - start)
+        sizes[start:stop], touched[start:stop] = kernels.origin_cluster_bfs(
+            neighbours, edge_ids, wall, origin, seeds, p)
+    return sizes, touched
+
+
 def cluster_size_decay(d: int, p: float, samples: int, seed: int,
                        radius: int | None = None) -> DecayFit:
     """Sample the cluster of the origin and fit its size-decay rate.
@@ -194,37 +239,18 @@ def cluster_size_decay(d: int, p: float, samples: int, seed: int,
     if radius is None:
         radius = _default_decay_radius(d, p)
 
-    side = 2 * radius + 1
-    box = LatticeBox(d, side)
-    eu, ev = box.candidate_edges()
-    nv, ne = box.n_vertices, box.n_edges
-    origin = box.linear_index(np.full(d, radius, dtype=np.int64))
-    coords = box.coords(np.arange(nv, dtype=np.int64))
-    boundary = np.flatnonzero(
-        np.any((coords == 0) | (coords == side - 1), axis=1)
-    )
-
-    sizes = np.empty(samples, dtype=np.int64)
-    truncated = 0
-    for i in range(samples):
-        mask = kernels.edge_open_mask(kernels.derive_seed(seed, i), ne, p)
-        roots = kernels.component_roots(nv, eu[mask], ev[mask])
-        r0 = roots[origin]
-        sizes[i] = np.count_nonzero(roots == r0)
-        if np.any(roots[boundary] == r0):
-            truncated += 1
+    sizes, touched = origin_cluster_samples(d, p, samples, seed, radius)
+    truncated = int(touched.sum())
     if truncated:
-        import logging
-
-        logging.getLogger(__name__).warning(
+        logger.warning(
             "%d/%d origin clusters touched the sampling box wall "
             "(radius %d too small); their sizes are lower bounds",
             truncated, samples, radius,
         )
 
-    nmax = int(sizes.max())
-    n_all = np.arange(1, nmax + 1)
-    surv_counts = np.array([(sizes >= n).sum() for n in n_all])
+    # surv_counts[n - 1] = #{samples with size >= n}, n = 1..max size
+    surv_counts = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
+    n_all = np.arange(1, surv_counts.size + 1)
     survival = surv_counts / samples
 
     keep = surv_counts >= DECAY_MIN_COUNT

@@ -1,16 +1,21 @@
 """Config validation, CLI behaviour, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import perclap
 from perclap import ConfigurationError, config_from_dict
 from perclap.cli import main
 from perclap.config import parse_config, serialize_config
 from perclap.runner import run
 
 MINIMAL = {"d": 1, "L": 500, "p": 0.3}
+SRC = str(Path(perclap.__file__).resolve().parents[1])
 
 
 def _write(tmp_path: Path, data, name="cfg.json") -> str:
@@ -66,6 +71,9 @@ def test_invalid_values_rejected():
         {**MINIMAL, "tail_window": ["a", 1]},
         {**MINIMAL, "decay_radius": "8"},
         {**MINIMAL, "emit_graph": "yes"},
+        # boxes above 2**31 - 1 vertices
+        {"d": 2, "L": 10, "p": 0.3, "task": "decay", "decay_radius": 100000},
+        {"d": 3, "L": 3000000, "p": 0.1, "task": "ids"},
     ]:
         with pytest.raises(ConfigurationError):
             config_from_dict(bad)
@@ -95,6 +103,37 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "o3" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_skipped_analytic_tails_recorded(tmp_path):
+    cfg = config_from_dict({"d": 2, "L": 6, "p": 0.3, "task": "all", "grid_points": 16,
+                            "grid_refine": 0, "decay_samples": 2000})
+    manifest = run(cfg, tmp_path / "s")
+    assert manifest["status"] == "ok"
+    assert manifest["skipped"] == {"tails": "analytic tail fits require d = 1"}
+    assert not any(name.startswith("tail_") for name in manifest["outputs"])
+    on_disk = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert on_disk["skipped"] == manifest["skipped"]
+    # a run that skips nothing records no skipped stages
+    assert "skipped" not in run(config_from_dict({**MINIMAL, "task": "ids"}), tmp_path / "i")
+
+
+def _cli_stderr(tmp_path, *flags):
+    cfg = _write(tmp_path, {"d": 2, "L": 4, "p": 0.3, "task": "decay",
+                            "decay_radius": 2, "decay_samples": 2000})
+    proc = subprocess.run(
+        [sys.executable, "-m", "perclap.cli", "decay", "--config", cfg,
+         "--out", str(tmp_path / "log"), *flags],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def test_log_level_flag_controls_wall_warning(tmp_path):
+    assert "touched the sampling box wall" in _cli_stderr(tmp_path)
+    assert _cli_stderr(tmp_path, "--log-level", "ERROR") == ""
+    assert _cli_stderr(tmp_path, "-v", "error") == ""
 
 
 def test_cli_writes_expected_outputs(tmp_path):

@@ -56,6 +56,14 @@ def test_derive_seed_positional_and_distinct():
     assert derive_seed(42, 0) != derive_seed(43, 0)
 
 
+def test_derive_seeds_matches_scalar_derive_seed():
+    for master in (0, 7, 2**64 - 1):
+        for start, n in ((0, 300), (2**32 - 5, 10), (2**32, 10), (2**63 + 3, 4)):
+            got = kernels.derive_seeds(master, start, n)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [derive_seed(master, start + i) for i in range(n)]
+
+
 def test_uniforms_numpy_matches_scalar_path():
     # uniform i is the splitmix64 output for counter value seed + i*golden
     seed = derive_seed(9, 0)

@@ -16,7 +16,7 @@ from perclap import (
     make_linear_cluster,
     sample_graph,
 )
-from perclap.kernels import derive_seed
+from perclap.kernels import component_roots, derive_seed, edge_open_mask
 from perclap.laplacian import ALL_BCS, assemble
 from perclap.tails import (
     _path_counts,
@@ -24,6 +24,7 @@ from perclap.tails import (
     fit_tail,
     ids_1d_series,
     ids_1d_series_many,
+    origin_cluster_samples,
     series_truncation,
 )
 
@@ -171,3 +172,38 @@ def test_cluster_size_decay_reproducible():
     b = cluster_size_decay(2, 0.2, 2_000, seed=derive_seed(95, 0))
     assert a.zeta_hat == b.zeta_hat
     assert np.array_equal(a.survival, b.survival)
+
+
+def _reference_origin_clusters(d, p, samples, seed, radius):
+    """Per-sample loop: draw every edge of the box, label all components."""
+    side = 2 * radius + 1
+    box = LatticeBox(d, side)
+    eu, ev = box.candidate_edges()
+    origin = box.linear_index(np.full(d, radius))
+    coords = box.coords(np.arange(box.n_vertices))
+    wall = np.any((coords == 0) | (coords == side - 1), axis=1)
+    sizes, touched = [], []
+    for i in range(samples):
+        mask = edge_open_mask(derive_seed(seed, i), box.n_edges, p)
+        roots = component_roots(box.n_vertices, eu[mask], ev[mask])
+        in_cluster = roots == roots[origin]
+        sizes.append(int(in_cluster.sum()))
+        touched.append(bool(np.any(in_cluster & wall)))
+    return sizes, touched
+
+
+@pytest.mark.parametrize("d, p, samples, radius", [
+    (1, 0.5, 3000, 40),
+    (2, 0.3, 3000, 16),
+    (3, 0.15, 600, 8),
+    (2, 0.35, 2000, 2),   # most clusters reach the wall
+])
+def test_origin_cluster_samples_match_per_sample_loop(d, p, samples, radius):
+    seed = derive_seed(96, d)
+    sizes, touched = origin_cluster_samples(d, p, samples, seed, radius)
+    want_sizes, want_touched = _reference_origin_clusters(d, p, samples, seed, radius)
+    assert sizes.tolist() == want_sizes
+    assert touched.tolist() == want_touched
+    if radius == 2:
+        assert touched.mean() > 0.5
+
