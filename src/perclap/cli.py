@@ -3,7 +3,8 @@
 Usage: perclap <task> --config <file> [--out <dir>] [--threads <n>]
                 [--emit-graph] [-v/--log-level <level>]
 
-Exit codes: 0 success, 2 invalid configuration, 3 numeric failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numeric failure; the
+exit-3 message names the kind, e.g. ``numeric failure (domain): ...``.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import dataclasses
 import logging
 import sys
 
-from .config import TASKS, parse_config
+from .config import TASKS, parse_config, validate
 from .exceptions import ConfigurationError, PerclapError
 from .runner import run
 
@@ -26,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and validated; has no effect")
     parser.add_argument("--emit-graph", action="store_true",
                         help="dump each sampled realization as JSON")
     parser.add_argument("-v", "--log-level", default="WARNING", type=str.upper,
@@ -44,8 +46,6 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, threads=args.threads)
         if args.emit_graph:
             cfg = dataclasses.replace(cfg, emit_graph=True)
-        from .config import validate
-
         problems = validate(cfg)
         if problems:
             raise ConfigurationError("; ".join(problems))
@@ -59,7 +59,10 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PerclapError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure ({exc.kind}): {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric failure (out of memory): {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -191,6 +191,35 @@ def clusters(graph: PercolationGraph) -> list:
     return out
 
 
+class ShapeEnsemble:
+    """The clusters of a list of realizations as a table of distinct shapes.
+
+    ``shapes`` holds one representative per ``canonical_key()`` in
+    first-seen order, ``counts`` its multiplicity and ``order`` the shape
+    id of every cluster in realization and cluster order.  Each
+    realization is decomposed once, and its cluster list dropped before
+    the next one is built.
+    """
+
+    def __init__(self, graphs):
+        graphs = list(graphs)
+        if not graphs:
+            raise DomainError("an ensemble needs at least one graph")
+        self.d = graphs[0].box.d
+        if any(g.box.d != self.d for g in graphs):
+            raise DomainError("all graphs must share the lattice dimension")
+        first = {}  # canonical key -> (shape id, representative cluster)
+        order = []
+        for g in graphs:
+            for c in clusters(g):
+                order.append(first.setdefault(c.canonical_key(), (len(first), c))[0])
+        self.shapes = [c for _, c in first.values()]
+        self.order = np.array(order, dtype=np.int64)
+        self.counts = np.bincount(self.order, minlength=len(self.shapes))
+        self.n_clusters = len(order)
+        self.total_vertices = sum(g.box.n_vertices for g in graphs)
+
+
 def _cluster_from_coords(d, coords, edge_pairs):
     """Build a Cluster from explicit coordinates and local edge pairs."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, d)

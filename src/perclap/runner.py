@@ -1,8 +1,10 @@
 """Task orchestration: ensembles, persistence, reproducible manifests.
 
-All outputs are byte-deterministic functions of the config: seeds are
-derived positionally per realization, pooled spectra are merged in
-realization order, and no timestamps enter any file.
+Every stage works on one :class:`~perclap.lattice.ShapeEnsemble` of the
+sampled realizations, once per distinct cluster shape.  Outputs are
+byte-deterministic functions of the config: seeds are derived
+positionally per realization, ``report.csv`` rows follow realization and
+cluster order, and no timestamps enter any file.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ from .config import ExperimentConfig
 from .exceptions import DomainError, PerclapError
 from .isoperimetry import report_cluster
 from .laplacian import ALL_BCS
-from .lattice import LatticeBox, clusters, graph_to_json_dict, sample_graph
+from .lattice import LatticeBox, ShapeEnsemble, graph_to_json_dict, sample_graph
 from .spectral import (
     REFLECTION_MAX_VERTICES,
     REFLECTION_TOL,
@@ -69,10 +71,10 @@ def _sample_ensemble(cfg: ExperimentConfig):
     ]
 
 
-def _run_ids(cfg, graphs, grid, outputs, out, cache):
+def _run_ids(cfg, ensemble, grid, outputs, out, cache):
     for name in cfg.boundary_conditions:
         bc = _BC_BY_NAME[name]
-        ids = empirical_ids(graphs, bc, grid=grid, cache=cache, threads=cfg.threads)
+        ids = empirical_ids(ensemble, bc, grid=grid, cache=cache)
         fname = f"ids_{name}.csv"
         outputs[fname] = _write_text(out / fname, _ids_csv(ids))
         summary = {
@@ -100,40 +102,38 @@ def _report_row(rep) -> str:
     )
 
 
-def _run_verify(cfg, graphs, grid, outputs, out, cache):
+def _run_verify(cfg, ensemble, grid, outputs, out, cache):
     tol = zero_tolerance(cfg.d)
-    rows = []
+    rows = {}  # shape id -> report.csv row, for shapes of 2 or more vertices
     violations = {"reflection": 0, "chain": 0, "cheeger": 0, "crude": 0, "range": 0}
-    checked = 0
     fk_min = None
-    for g in graphs:
-        for c in clusters(g):
-            spectra = cluster_spectra(c, cache)
-            checked += 1
-            violations["range"] += range_violations(spectra, cfg.d, tol)
-            if (c.n_vertices <= REFLECTION_MAX_VERTICES
-                    and reflection_deviation(spectra, cfg.d) > REFLECTION_TOL):
-                violations["reflection"] += 1
-            if not chain_holds(spectra, grid):
-                violations["chain"] += 1
-            if c.n_vertices < 2:
-                continue
-            rep = report_cluster(c, spectra)
-            violations["crude"] += rep.crude_violated
-            violations["cheeger"] += rep.cheeger_violated
-            fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
-            rows.append(_report_row(rep))
-    header = "size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"
-    outputs["report.csv"] = _write_text(out / "report.csv", "\n".join([header] + rows) + "\n")
+    for sid, (c, m) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist())):
+        spectra = cluster_spectra(c, cache)
+        violations["range"] += m * range_violations(spectra, cfg.d, tol)
+        if (c.n_vertices <= REFLECTION_MAX_VERTICES
+                and reflection_deviation(spectra, cfg.d) > REFLECTION_TOL):
+            violations["reflection"] += m
+        if not chain_holds(spectra, grid):
+            violations["chain"] += m
+        if c.n_vertices < 2:
+            continue
+        rep = report_cluster(c, spectra)
+        violations["crude"] += m * rep.crude_violated
+        violations["cheeger"] += m * rep.cheeger_violated
+        fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
+        rows[sid] = _report_row(rep)
+    lines = ["size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"]
+    lines += [rows[s] for s in ensemble.order.tolist() if s in rows]
+    outputs["report.csv"] = _write_text(out / "report.csv", "\n".join(lines) + "\n")
     summary = {
-        "clusters_checked": checked,
+        "clusters_checked": ensemble.n_clusters,
         "violations": violations,
         "fk_estimate": fk_min,
     }
     outputs["verify_summary.json"] = _write_json(out / "verify_summary.json", summary)
 
 
-def _run_tails(cfg, graphs, grid, outputs, out, cache):
+def _run_tails(cfg, ensemble, grid, outputs, out, cache):
     if cfg.tail_mode == "analytic" and cfg.d != 1:
         raise DomainError(f"{ANALYTIC_TAILS_D1_ONLY}; use tail_mode 'mc' for d >= 2")
     window = tuple(cfg.tail_window)
@@ -142,8 +142,7 @@ def _run_tails(cfg, graphs, grid, outputs, out, cache):
         jobs = [(name, edge) for name in cfg.boundary_conditions
                 for edge in ("lower", "upper")]
         ids_by_bc = {
-            name: empirical_ids(graphs, _BC_BY_NAME[name], grid=grid,
-                                cache=cache, threads=cfg.threads)
+            name: empirical_ids(ensemble, _BC_BY_NAME[name], grid=grid, cache=cache)
             for name in {n for n, _ in jobs}
         }
     for name, edge in jobs:
@@ -189,12 +188,12 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict = {}
-    grid = default_grid(cfg.d, cfg.grid_points, cfg.grid_refine)
     cache = {}  # (bc, cluster shape) -> spectrum, shared by every stage
 
     manifest = {"config": {**cfg.to_dict(), "task": task}, "outputs": outputs,
                 "status": "ok"}
     try:
+        grid = default_grid(cfg.d, cfg.grid_points, cfg.grid_refine)
         needs_graphs = task in ("ids", "verify", "all") or (
             task == "tails" and cfg.tail_mode == "mc"
         )
@@ -203,18 +202,19 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
             for i, g in enumerate(graphs):
                 fname = f"graph_r{i:04d}.json"
                 outputs[fname] = _write_json(out / fname, graph_to_json_dict(g))
+        ensemble = ShapeEnsemble(graphs) if graphs else None
         if task in ("ids", "all"):
-            _run_ids(cfg, graphs, grid, outputs, out, cache)
+            _run_ids(cfg, ensemble, grid, outputs, out, cache)
         if task in ("verify", "all"):
-            _run_verify(cfg, graphs, grid, outputs, out, cache)
+            _run_verify(cfg, ensemble, grid, outputs, out, cache)
         if task in ("tails", "all"):
             if task == "all" and cfg.tail_mode == "analytic" and cfg.d != 1:
                 manifest["skipped"] = {"tails": ANALYTIC_TAILS_D1_ONLY}
             else:
-                _run_tails(cfg, graphs, grid, outputs, out, cache)
+                _run_tails(cfg, ensemble, grid, outputs, out, cache)
         if task in ("decay", "all"):
             _run_decay(cfg, outputs, out)
-    except PerclapError as exc:
+    except (PerclapError, MemoryError) as exc:
         manifest["status"] = "failed"
         manifest["failure"] = str(exc)
         _write_json(out / "manifest.json", manifest)

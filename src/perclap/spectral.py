@@ -1,9 +1,11 @@
 """Spectra, inertia-based eigenvalue counting, and the empirical IDS.
 
-Spectra of structurally identical clusters are cached by the
-translation-invariant canonical key, so large subcritical ensembles only
-diagonalize each distinct cluster shape once.  The counting convention is
-right-continuous throughout: N(E) counts eigenvalues <= E.
+The empirical IDS works on a :class:`~perclap.lattice.ShapeEnsemble`:
+each distinct cluster shape is diagonalized once per boundary condition
+and its spectrum pooled with the shape's multiplicity.  Spectra are
+cached by the translation-invariant canonical key, so the stages of a
+run share them.  The counting convention is right-continuous
+throughout: N(E) counts eigenvalues <= E.
 """
 
 import logging
@@ -14,7 +16,7 @@ import scipy.linalg
 
 from .exceptions import DomainError, NumericError
 from .laplacian import ALL_BCS, BoundaryCondition, SymmetricOperator, assemble
-from .lattice import Cluster, PercolationGraph, clusters
+from .lattice import Cluster, ShapeEnsemble
 
 log = logging.getLogger(__name__)
 
@@ -157,7 +159,7 @@ def chain_holds(spectra: dict, grid: np.ndarray) -> bool:
     c_n = np.searchsorted(spectra[BoundaryCondition.NEUMANN], grid, side="right")
     c_dt = np.searchsorted(spectra[BoundaryCondition.PSEUDO_DIRICHLET], grid, side="right")
     c_d = np.searchsorted(spectra[BoundaryCondition.DIRICHLET], grid, side="right")
-    # array methods rather than np.all: this runs once per cluster in verify
+    # array methods rather than np.all: this runs once per shape in verify
     return bool((c_n >= c_dt).all() and (c_dt >= c_d).all())
 
 
@@ -223,63 +225,34 @@ class EmpiricalIDS:
         return counts / self.total_vertices
 
 
-def _graph_spectra(graph, bc, grid, cache):
-    """Pooled eigenvalues of one realization (plus inertia counts for
-    clusters above the dense threshold)."""
-    pools = []
-    extra = None
-    n_clusters = 0
-    for c in clusters(graph):
-        n_clusters += 1
-        if c.n_vertices > DENSE_THRESHOLD:
-            op = assemble(c, bc)
-            if extra is None:
-                extra = np.zeros(grid.size, dtype=np.int64)
-            extra += np.array([count_leq(op, E) for E in grid], dtype=np.int64)
-        else:
-            pools.append(cluster_eigenvalues(c, bc, cache))
-    pooled = np.concatenate(pools) if pools else np.empty(0)
-    return pooled, extra, n_clusters
+def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> EmpiricalIDS:
+    """Pool cluster spectra of an ensemble with weight 1/(total vertices).
 
-
-def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None,
-                  threads: int = 1) -> EmpiricalIDS:
-    """Pool per-cluster spectra of an ensemble with weight 1/(total vertices).
-
-    The merge is a sorted multiset union in positional realization order,
-    so the result is independent of the thread count.
+    ``graphs`` are realizations of one dimension or their
+    :class:`ShapeEnsemble`.  Each shape's spectrum, or above the dense
+    threshold its inertia counts on the grid, enters once per cluster.
     """
-    graphs = list(graphs)
-    if not graphs:
-        raise DomainError("empirical_ids needs at least one graph")
-    d = graphs[0].box.d
-    if any(g.box.d != d for g in graphs):
-        raise DomainError("all graphs must share the lattice dimension")
+    ensemble = graphs if isinstance(graphs, ShapeEnsemble) else ShapeEnsemble(graphs)
     if grid is None:
-        grid = default_grid(d)
+        grid = default_grid(ensemble.d)
     grid = np.asarray(grid, dtype=np.float64)
 
-    if threads > 1 and len(graphs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda g: _graph_spectra(g, bc, grid, cache), graphs))
-    else:
-        results = [_graph_spectra(g, bc, grid, cache) for g in graphs]
-
-    total_vertices = sum(g.box.n_vertices for g in graphs)
-    n_clusters = sum(r[2] for r in results)
+    pools = []
     extra = None
-    for _, e, _ in results:
-        if e is not None:
-            extra = e if extra is None else extra + e
-    pooled = np.sort(np.concatenate([r[0] for r in results]))
+    for c, m in zip(ensemble.shapes, ensemble.counts):
+        if c.n_vertices > DENSE_THRESHOLD:
+            op = assemble(c, bc)
+            inertia = m * np.array([count_leq(op, E) for E in grid], dtype=np.int64)
+            extra = inertia if extra is None else extra + inertia
+        else:
+            pools.append(np.tile(cluster_eigenvalues(c, bc, cache), m))
+    pooled = np.sort(np.concatenate(pools)) if pools else np.empty(0)
 
-    tol = ATOM_TOL_FACTOR * 4 * d
+    tol = ATOM_TOL_FACTOR * 4 * ensemble.d
     counts = np.searchsorted(pooled, grid + tol, side="right").astype(np.float64)
     if extra is not None:
         counts += extra
-    values = counts / total_vertices
+    values = counts / ensemble.total_vertices
 
     if pooled.size:
         near = np.searchsorted(pooled, grid - tol)
@@ -293,11 +266,11 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None,
 
     return EmpiricalIDS(
         bc=bc,
-        total_vertices=total_vertices,
+        total_vertices=ensemble.total_vertices,
         eigenvalues=pooled,
         grid=grid,
         grid_values=values,
-        n_clusters=n_clusters,
+        n_clusters=ensemble.n_clusters,
         grid_collisions=collisions,
         extra_grid_counts=extra,
     )
@@ -305,14 +278,11 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None,
 
 def zero_mode_density(graphs, tol: float | None = None) -> float:
     """Density of Neumann zero modes; equals (#clusters)/(total vertices)."""
-    graphs = list(graphs)
-    if not graphs:
-        raise DomainError("zero_mode_density needs at least one graph")
-    d = graphs[0].box.d
+    ensemble = ShapeEnsemble(graphs)
     if tol is None:
-        tol = zero_tolerance(d)
+        tol = zero_tolerance(ensemble.d)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    ids = empirical_ids(graphs, BoundaryCondition.NEUMANN)
+    ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN)
     count = int(np.searchsorted(ids.eigenvalues, tol, side="right"))
     return count / ids.total_vertices

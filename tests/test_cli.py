@@ -97,12 +97,27 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, capsys):
-    # analytic tails in d=2 have no series; the tails task reports failure
-    cfg = _write(tmp_path, {"d": 2, "L": 8, "p": 0.3, "task": "tails"})
-    assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o3")]) == 3
-    assert "numeric failure" in capsys.readouterr().err
-    manifest = json.loads((tmp_path / "o3" / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
+    # arrays of 8 * 10**14 bytes or more exceed a 2**47-byte address space,
+    # so these allocations fail at once under any overcommit policy
+    big = 10**14
+    small = {"d": 1, "L": 10, "p": 0.3}
+    cases = [
+        # analytic tails in d=2 have no series
+        ({"d": 2, "L": 8, "p": 0.3, "task": "tails"}, "domain", "analytic tail fits"),
+        ({**small, "task": "decay", "decay_radius": 2, "decay_samples": 10},
+         "insufficient data", "too few size thresholds"),
+        ({**small, "task": "ids", "grid_points": big}, "out of memory", ""),
+        ({**small, "task": "ids", "grid_refine": big}, "out of memory", ""),
+        ({**small, "task": "decay", "decay_samples": 10 * big}, "out of memory", ""),
+    ]
+    for i, (data, kind, reason) in enumerate(cases):
+        cfg = _write(tmp_path, data, name=f"c{i}.json")
+        out = tmp_path / f"o{i}"
+        assert main([data["task"], "--config", cfg, "--out", str(out)]) == 3, data
+        assert f"numeric failure ({kind}): {reason}" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"]
 
 
 def test_skipped_analytic_tails_recorded(tmp_path):

@@ -1,11 +1,13 @@
 """Spectral computations: dense spectra, inertia counts, empirical IDS."""
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import perclap
 from perclap import (
     DomainError,
     LatticeBox,
@@ -19,15 +21,25 @@ from perclap import (
     sample_graph,
     zero_mode_density,
 )
-from perclap import config_from_dict, run, spectral
+from perclap import config_from_dict, isoperimetry, kernels, lattice, run, runner, spectral
+from perclap.isoperimetry import EXHAUSTIVE_CUTOFF, report_cluster
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, BoundaryCondition, assemble
+from perclap.lattice import ShapeEnsemble
 from perclap.spectral import (
     DENSE_THRESHOLD,
+    REFLECTION_MAX_VERTICES,
+    REFLECTION_TOL,
+    chain_holds,
     cluster_eigenvalues,
+    cluster_spectra,
+    range_violations,
+    reflection_deviation,
     summarize,
     zero_tolerance,
 )
+
+from conftest import reference_laplacian
 
 N, DT, D = ALL_BCS
 
@@ -134,15 +146,6 @@ def test_empirical_ids_chain_ordering(small_ensemble):
         assert np.all(v[DT] >= v[D] - 1e-15)
 
 
-def test_empirical_ids_thread_count_invariance():
-    graphs = [sample_graph(LatticeBox(2, 10), 0.4, derive_seed(51, i))
-              for i in range(6)]
-    a = empirical_ids(graphs, N, threads=1)
-    b = empirical_ids(graphs, N, threads=4)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.grid_values, b.grid_values)
-
-
 def test_empirical_ids_atom_counted_at_exact_grid_energy():
     # a single path of 2 in d=1: Neumann spectrum {0, 2}
     g = sample_graph(LatticeBox(1, 2), 1.0, 0)
@@ -187,13 +190,33 @@ def test_spectrum_cache_shared_across_translates():
     assert len(cache) == 3 * len(shapes)
 
 
+def _count_calls(monkeypatch, fn, calls):
+    """Count calls of ``fn`` through every module binding of it."""
+    def counting(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for mod in (perclap, kernels, lattice, spectral, isoperimetry, runner):
+        for name, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, name, counting)
+
+
 def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
-    """ids, verify, mc tails and the FK ratios share one spectrum cache."""
+    """ids, verify, mc tails and the FK ratios share one decomposition per
+    realization, one spectrum per (shape, bc) and one Cheeger cut search
+    per shape of 2 to EXHAUSTIVE_CUTOFF vertices."""
     cfg = config_from_dict({
         "d": 2, "L": 16, "p": 0.35, "realizations": 3, "seed": 5, "task": "all",
         "grid_points": 64, "grid_refine": 8, "tail_mode": "mc",
         "tail_window": [0.5, 4.0], "decay_samples": 2000,
     })
+    shapes = {
+        c.canonical_key(): c.n_vertices
+        for i in range(cfg.realizations)
+        for c in clusters(sample_graph(LatticeBox(2, 16), 0.35, derive_seed(5, i)))
+        if c.n_vertices > 1
+    }
     solves = Counter()
     solve = spectral.eigenvalues
 
@@ -201,17 +224,97 @@ def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
         solves[(op.bc, op.cluster.canonical_key())] += 1
         return solve(op)
 
+    calls = Counter()
+    _count_calls(monkeypatch, lattice.clusters, calls)
+    _count_calls(monkeypatch, kernels.best_cheeger_cut, calls)
     monkeypatch.setattr(spectral, "_SPECTRUM_CACHE", {})
     monkeypatch.setattr(spectral, "eigenvalues", counting)
     assert run(cfg, tmp_path)["status"] == "ok"
-    shapes = {
-        c.canonical_key()
-        for i in range(cfg.realizations)
-        for c in clusters(sample_graph(LatticeBox(2, 16), 0.35, derive_seed(5, i)))
-        if c.n_vertices > 1
-    }
     assert set(solves) == {(bc, key) for bc in ALL_BCS for key in shapes}
     assert set(solves.values()) == {1}
+    assert calls["clusters"] == cfg.realizations
+    assert calls["best_cheeger_cut"] == sum(
+        1 for n in shapes.values() if n <= EXHAUSTIVE_CUTOFF)
+
+
+def _per_cluster_ids_pool(graphs, bc):
+    """Reference pool: every cluster diagonalized on its own."""
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(reference_laplacian(c, bc.value).astype(np.float64))
+        for g in graphs for c in clusters(g)
+    ]))
+
+
+def test_shape_dedup_matches_per_cluster_spectra(small_ensemble):
+    """Pooling each shape's spectrum by multiplicity gives the same IDS
+    pool as diagonalizing every cluster of every realization."""
+    recurring = [sample_graph(LatticeBox(2, 8), 0.3, derive_seed(83, i)) for i in range(5)]
+    keys = [{c.canonical_key() for c in clusters(g) if c.n_vertices > 1} for g in recurring]
+    assert set.intersection(*keys)  # a shape recurs in every realization
+    for graphs in [[g] for g in small_ensemble] + [recurring]:
+        ensemble = ShapeEnsemble(graphs)
+        n_clusters = sum(len(clusters(g)) for g in graphs)
+        total = sum(g.box.n_vertices for g in graphs)
+        assert (ensemble.n_clusters, ensemble.total_vertices) == (n_clusters, total)
+        assert int(ensemble.counts.sum()) == n_clusters == ensemble.order.size
+        for bc in ALL_BCS:
+            ids = empirical_ids(graphs, bc, cache={})
+            assert (ids.n_clusters, ids.total_vertices) == (n_clusters, total)
+            want = _per_cluster_ids_pool(graphs, bc)
+            assert ids.eigenvalues.shape == want.shape
+            assert np.allclose(ids.eigenvalues, want, rtol=0.0, atol=1e-12)
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _per_cluster_verify(cfg):
+    """report.csv and verify_summary.json from a loop over every cluster."""
+    grid = default_grid(cfg.d, cfg.grid_points, cfg.grid_refine)
+    tol = zero_tolerance(cfg.d)
+    rows = ["size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"]
+    violations = {"reflection": 0, "chain": 0, "cheeger": 0, "crude": 0, "range": 0}
+    checked, fk_min = 0, None
+    for i in range(cfg.realizations):
+        g = sample_graph(LatticeBox(cfg.d, cfg.L), cfg.p, derive_seed(cfg.seed, i))
+        for c in clusters(g):
+            spectra = cluster_spectra(c, {})
+            checked += 1
+            violations["range"] += range_violations(spectra, cfg.d, tol)
+            if (c.n_vertices <= REFLECTION_MAX_VERTICES
+                    and reflection_deviation(spectra, cfg.d) > REFLECTION_TOL):
+                violations["reflection"] += 1
+            violations["chain"] += not chain_holds(spectra, grid)
+            if c.n_vertices < 2:
+                continue
+            rep = report_cluster(c, spectra)
+            violations["crude"] += rep.crude_violated
+            violations["cheeger"] += rep.cheeger_violated
+            fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
+            h = "" if rep.h_cheeger is None else _fmt(rep.h_cheeger)
+            margin = "" if rep.cheeger_margin is None else _fmt(rep.cheeger_margin)
+            rows.append(
+                f"{rep.n_vertices},{_fmt(rep.e1_neumann)},{_fmt(rep.e1_pseudo_dirichlet)},"
+                f"{_fmt(rep.e1_dirichlet)},{h},{margin},{_fmt(rep.crude_margin)},"
+                f"{_fmt(rep.fk_ratio)}"
+            )
+    summary = {"clusters_checked": checked, "violations": violations, "fk_estimate": fk_min}
+    return ("\n".join(rows) + "\n").encode(), (
+        json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("d, L, p, realizations", [
+    (1, 300, 0.4, 3), (2, 12, 0.35, 3), (3, 6, 0.2, 2), (2, 10, 0.05, 2),
+])
+def test_verify_per_shape_matches_per_cluster_loop(tmp_path, d, L, p, realizations):
+    cfg = config_from_dict({"d": d, "L": L, "p": p, "realizations": realizations,
+                            "seed": 17, "task": "verify", "grid_points": 64,
+                            "grid_refine": 8})
+    assert run(cfg, tmp_path)["status"] == "ok"
+    report, summary = _per_cluster_verify(cfg)
+    assert (tmp_path / "report.csv").read_bytes() == report
+    assert (tmp_path / "verify_summary.json").read_bytes() == summary
 
 
 def test_volume_convergence_1d():
