@@ -14,6 +14,8 @@ TASKS = ("ids", "verify", "tails", "decay", "all")
 BC_NAMES = ("N", "Dt", "D")
 # scipy.sparse.csgraph labels vertices with int32
 MAX_VERTICES = 2**31 - 1
+# the counter-based RNG keys on a uint64 seed; a larger seed would alias
+MAX_SEED = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,8 @@ def validate(cfg: ExperimentConfig) -> list:
             f"got {cfg.boundary_conditions!r}"
         )
     need_int("seed", 0)
+    if _is_int(cfg.seed) and cfg.seed > MAX_SEED:
+        problems.append(f"seed must be at most 2**64 - 1, got {cfg.seed!r}")
     need_int("grid_points", 2)
     need_int("grid_refine", 0)
     if cfg.tail_mode not in ("analytic", "mc"):

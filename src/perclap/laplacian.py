@@ -1,7 +1,9 @@
 """Per-cluster graph Laplacians for the three boundary conditions.
 
 Matrices are assembled with exact integer entries; floating point only
-enters in the eigensolvers.
+enters in the eigensolvers.  Clusters up to :data:`DENSE_THRESHOLD`
+vertices get a dense array, larger ones a sparse CSC matrix, so no
+n x n array is allocated for a giant cluster.
 """
 
 import enum
@@ -10,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Cluster
+
+DENSE_THRESHOLD = 2048  # largest cluster assembled dense and diagonalized
 
 
 class BoundaryCondition(enum.Enum):
@@ -42,11 +46,15 @@ ALL_BCS = (
 
 @dataclass(frozen=True)
 class SymmetricOperator:
-    """Dense symmetric integer matrix of one Laplacian on one cluster."""
+    """Symmetric integer matrix of one Laplacian on one cluster.
+
+    ``matrix`` is an int64 |V| x |V| numpy array up to
+    :data:`DENSE_THRESHOLD` vertices and a scipy CSC matrix above it.
+    """
 
     cluster: Cluster
     bc: BoundaryCondition
-    matrix: np.ndarray  # int64, |V| x |V|
+    matrix: object  # np.ndarray, or scipy.sparse.csc_matrix above DENSE_THRESHOLD
 
     @property
     def n(self) -> int:
@@ -60,11 +68,17 @@ class SymmetricOperator:
 def assemble(cluster: Cluster, bc: BoundaryCondition) -> SymmetricOperator:
     """Degree/adjacency combination for the requested boundary condition."""
     n = cluster.n_vertices
-    mat = np.zeros((n, n), dtype=np.int64)
     diag = bc.diagonal(cluster.degrees, cluster.d)
+    u, v = cluster.edges[:, 0], cluster.edges[:, 1]
+    if n > DENSE_THRESHOLD:
+        from scipy.sparse import csc_matrix
+
+        rows = np.concatenate((np.arange(n), u, v))
+        cols = np.concatenate((np.arange(n), v, u))
+        data = np.concatenate((diag, np.full(2 * cluster.n_edges, -1, dtype=np.int64)))
+        return SymmetricOperator(cluster, bc, csc_matrix((data, (rows, cols)), shape=(n, n)))
+    mat = np.zeros((n, n), dtype=np.int64)
     mat[np.arange(n), np.arange(n)] = diag
-    if cluster.n_edges:
-        u, v = cluster.edges[:, 0], cluster.edges[:, 1]
-        mat[u, v] = -1
-        mat[v, u] = -1
+    mat[u, v] = -1
+    mat[v, u] = -1
     return SymmetricOperator(cluster, bc, mat)

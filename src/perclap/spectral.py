@@ -4,25 +4,38 @@ The empirical IDS works on a :class:`~perclap.lattice.ShapeEnsemble`:
 each distinct cluster shape is diagonalized once per boundary condition
 and its spectrum pooled with the shape's multiplicity.  Spectra are
 cached by the translation-invariant canonical key, so the stages of a
-run share them.  The counting convention is right-continuous
-throughout: N(E) counts eigenvalues <= E.
+run share them.  Shapes above :data:`DENSE_THRESHOLD` are not
+diagonalized; :func:`count_leq` counts their eigenvalues at each grid
+energy from the pivot signs of a sparse SuperLU factorization
+(Sylvester's law of inertia), and falls back to a dense Bunch-Kaufman
+LDL^T only at energies where the sparse factorization breaks down.  The
+counting convention is right-continuous throughout: N(E) counts
+eigenvalues <= E.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import DomainError, NumericError
-from .laplacian import ALL_BCS, BoundaryCondition, SymmetricOperator, assemble
+from .laplacian import (
+    ALL_BCS,
+    DENSE_THRESHOLD,
+    BoundaryCondition,
+    SymmetricOperator,
+    assemble,
+)
 from .lattice import Cluster, ShapeEnsemble
 
 log = logging.getLogger(__name__)
 
-DENSE_THRESHOLD = 2048
 ZERO_TOL_FACTOR = 1e-9  # relative to the spectral width 4d
 ATOM_TOL_FACTOR = 1e-12  # snap tolerance for counting at spectral atoms
+# re-entrant count_leq calls allowed for one energy before NumericError
+MAX_INERTIA_RETRIES = 8
 
 
 def zero_tolerance(d: int) -> float:
@@ -44,6 +57,47 @@ def eigenvalues(op: SymmetricOperator) -> np.ndarray:
         ) from exc
 
 
+def _root(op: SymmetricOperator) -> int:
+    return int(op.cluster.vertices[0])
+
+
+def _lu_pivots(op: SymmetricOperator, E: float):
+    """diag(U) of a sparse symmetric-mode LU of (matrix - E*I), or None.
+
+    Without row pivoting and with ``perm_r == perm_c``, SuperLU factors
+    P (A - E I) P^T = L U, and U = D L^T with D the pivots of an LDL^T
+    congruence.  None when SuperLU finds the matrix exactly singular or
+    the permutations differ, so that the factorization is no congruence.
+
+    None also, without factorizing, for an integer or non-finite E.  At
+    an integer E, A - E I is an integer matrix, and its elimination meets
+    exact zero pivots whenever E is an eigenvalue of a leading principal
+    submatrix (always on the all-zero diagonal of pseudo-Dirichlet at
+    E = 2d).  On such a matrix SuperLU's unpivoted path depends on
+    uninitialized memory, and it has crashed the interpreter.  A rational
+    eigenvalue of an integer matrix is an integer, so at any other finite
+    E every exact pivot is nonzero.
+    """
+    if not math.isfinite(E) or float(E).is_integer():
+        return None
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
+
+    shifted = csc_matrix(op.matrix, dtype=np.float64) - E * identity(op.n, format="csc")
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        if "exactly singular" in str(exc):
+            return None
+        raise NumericError(
+            f"sparse LU failed on cluster with root vertex {_root(op)} at E={E}: {exc}"
+        ) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return lu.U.diagonal()
+
+
 def _ldl_block_eigenvalues(dmat: np.ndarray) -> np.ndarray:
     """Eigenvalues of the (1x1 / 2x2) block-diagonal factor of an LDL^T."""
     n = dmat.shape[0]
@@ -63,29 +117,62 @@ def _ldl_block_eigenvalues(dmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def count_leq(op: SymmetricOperator, E: float) -> int:
-    """Number of eigenvalues <= E via the inertia of (matrix - E*I).
-
-    If the shift lands on an eigenvalue (factorization of a singular
-    matrix), the count is retried at E + 1e-12 * 4d and the retry logged.
-    """
-    width = op.spectral_width
+def _ldl_pivots(op: SymmetricOperator, E: float) -> np.ndarray:
+    """Block pivots of a dense Bunch-Kaufman LDL^T of (matrix - E*I)."""
     shifted = op.matrix.astype(np.float64)
+    if not isinstance(shifted, np.ndarray):
+        shifted = shifted.toarray()
     shifted[np.diag_indices_from(shifted)] -= E
     try:
         _, dmat, _ = scipy.linalg.ldl(shifted)
     except Exception as exc:  # LAPACK failure
         raise NumericError(
-            f"LDL factorization failed on cluster with root vertex "
-            f"{int(op.cluster.vertices[0])} at E={E}: {exc}"
+            f"LDL factorization failed on cluster with root vertex {_root(op)} "
+            f"at E={E}: {exc}"
         ) from exc
-    block = _ldl_block_eigenvalues(dmat)
-    breakdown = ZERO_TOL_FACTOR * 1e-3 * width  # |pivot eigenvalue| ~ 0
-    if np.any(np.abs(block) < breakdown):
-        eps = 1e-12 * width
-        log.warning("inertia shift E=%g hit an eigenvalue, retrying at E+%g", E, eps)
-        return count_leq(op, E + eps)
-    return int(np.count_nonzero(block < 0.0))
+    return _ldl_block_eigenvalues(dmat)
+
+
+def count_leq(op: SymmetricOperator, E: float, _retries: int = 0) -> int:
+    """Number of eigenvalues <= E via the inertia of (matrix - E*I).
+
+    ``op.matrix`` may be dense or sparse.  By Sylvester's law of inertia
+    the count is the number of negative pivots of a congruence
+    L D L^T; the first factorization is the sparse SuperLU one of
+    :func:`_lu_pivots`.  A factorization breaks down when SuperLU reports
+    the matrix exactly singular, when its row and column permutations
+    differ, or when a pivot is smaller in magnitude than 1e-12 * 4d.
+
+    On a breakdown (E sits on or next to an eigenvalue, the unpivoted
+    sparse LU meets a tiny pivot, or E is an integer, which the sparse
+    factorization refuses) ``count_leq`` calls itself again at
+    E + 1e-12 * 4d, which puts an eigenvalue at E on the counted side.
+    If the sparse factorization breaks down there too, that energy is
+    counted with the dense Bunch-Kaufman LDL^T, moving up by 1e-12 * 4d
+    per further breakdown.  Unpivoted sparse LU cannot get past energies
+    where a giant cluster has an eigenvalue of high multiplicity (Neumann
+    E = 1 or 2, pseudo-Dirichlet E = 2d), which the pivoted dense
+    factorization handles.  The dense count starts at the shifted energy,
+    not at E: on an eigenvalue, the dense LDL^T at E itself can lose one
+    without showing a small pivot.  Every retry is logged; after
+    :data:`MAX_INERTIA_RETRIES` the count raises :class:`NumericError`.
+    ``_retries`` is internal: the number of calls made before this one
+    for the same count.
+    """
+    width = op.spectral_width
+    pivots = _ldl_pivots(op, E) if _retries >= 2 else _lu_pivots(op, E)
+    breakdown = ZERO_TOL_FACTOR * 1e-3 * width  # |pivot| ~ 0
+    if pivots is not None and np.abs(pivots).min() >= breakdown:
+        return int(np.count_nonzero(pivots < 0.0))
+    if _retries == MAX_INERTIA_RETRIES:
+        raise NumericError(
+            f"inertia count on cluster with root vertex {_root(op)} broke down "
+            f"{_retries + 1} times, last at E={E}"
+        )
+    retry = E if _retries == 1 else E + 1e-12 * width
+    log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g (%s)", E, retry,
+                "dense LDL" if _retries >= 1 else "sparse LU")
+    return count_leq(op, retry, _retries + 1)
 
 
 _SPECTRUM_CACHE: dict = {}

@@ -6,13 +6,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import perclap
-from perclap import ConfigurationError, config_from_dict
+from perclap import (
+    ConfigurationError,
+    LatticeBox,
+    clusters,
+    config_from_dict,
+    default_grid,
+    sample_graph,
+)
 from perclap.cli import main
 from perclap.config import parse_config, serialize_config
+from perclap.kernels import derive_seed
+from perclap.laplacian import DENSE_THRESHOLD
 from perclap.runner import run
+
+from conftest import reference_laplacian
 
 MINIMAL = {"d": 1, "L": 500, "p": 0.3}
 SRC = str(Path(perclap.__file__).resolve().parents[1])
@@ -71,6 +83,8 @@ def test_invalid_values_rejected():
         {**MINIMAL, "tail_window": ["a", 1]},
         {**MINIMAL, "decay_radius": "8"},
         {**MINIMAL, "emit_graph": "yes"},
+        # seeds are uint64; 2**64 would alias seed 0
+        {**MINIMAL, "seed": 2**64},
         # boxes above 2**31 - 1 vertices
         {"d": 2, "L": 10, "p": 0.3, "task": "decay", "decay_radius": 100000},
         {"d": 3, "L": 3000000, "p": 0.1, "task": "ids"},
@@ -193,6 +207,31 @@ def test_outputs_byte_identical_across_reruns_and_threads(tmp_path):
         assert a[name] == b[name], name
         if name != "manifest.json":  # manifest records the thread count
             assert a[name] == c[name], name
+
+
+def test_supercritical_ids_matches_dense_counts(tmp_path):
+    """A giant cluster above the dense threshold, on a grid that hits the
+    integer energies 1, 2, 4, 6 and 7 where its spectrum has atoms: every
+    ids_*.csv equals counts from dense eigvalsh with the 1e-12 * 4d snap."""
+    data = {"d": 2, "L": 48, "p": 0.6, "seed": 1, "task": "ids",
+            "grid_points": 17, "grid_refine": 3}
+    cfg = _write(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["ids", "--config", cfg, "--out", str(out)]) == 0
+    graph = sample_graph(LatticeBox(2, 48), 0.6, derive_seed(1, 0))
+    parts = clusters(graph)
+    assert max(c.n_vertices for c in parts) > DENSE_THRESHOLD
+    grid = default_grid(2, 17, 3)
+    assert {1.0, 2.0, 4.0, 6.0, 7.0} <= set(grid.tolist())
+    for bc in ("N", "Dt", "D"):
+        pool = np.sort(np.concatenate([
+            np.linalg.eigvalsh(reference_laplacian(c, bc).astype(np.float64)) for c in parts
+        ]))
+        counts = np.searchsorted(pool, grid + 1e-12 * 8, side="right")
+        want = "E,N\n" + "".join(
+            f"{format(float(e), '.17g')},{format(float(v), '.17g')}\n"
+            for e, v in zip(grid, counts / graph.box.n_vertices))
+        assert (out / f"ids_{bc}.csv").read_text() == want, bc
 
 
 def test_decay_task_output(tmp_path):

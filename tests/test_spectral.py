@@ -6,11 +6,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import perclap
 from perclap import (
     DomainError,
     LatticeBox,
+    NumericError,
     clusters,
     count_leq,
     default_grid,
@@ -22,12 +24,14 @@ from perclap import (
     zero_mode_density,
 )
 from perclap import config_from_dict, isoperimetry, kernels, lattice, run, runner, spectral
+from perclap.cli import main
 from perclap.isoperimetry import EXHAUSTIVE_CUTOFF, report_cluster
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, BoundaryCondition, assemble
 from perclap.lattice import ShapeEnsemble
 from perclap.spectral import (
     DENSE_THRESHOLD,
+    MAX_INERTIA_RETRIES,
     REFLECTION_MAX_VERTICES,
     REFLECTION_TOL,
     chain_holds,
@@ -153,7 +157,22 @@ def test_empirical_ids_atom_counted_at_exact_grid_energy():
     assert ids.grid_values.tolist() == [0.5, 1.0, 1.0]
 
 
-def test_large_cluster_inertia_path_matches_dense_ids():
+@pytest.fixture(scope="module")
+def giant_clusters():
+    """Largest clusters of a d=2 and a d=3 supercritical box, 2-4k vertices
+    each, with their dense spectra per boundary condition."""
+    out = []
+    for d, L, p, seed in ((2, 50, 0.6, 1), (3, 14, 0.35, 0)):
+        g = sample_graph(LatticeBox(d, L), p, derive_seed(seed, 0))
+        c = max(clusters(g), key=lambda c: c.n_vertices)
+        assert DENSE_THRESHOLD < c.n_vertices <= 4096
+        spectra = {bc: np.linalg.eigvalsh(reference_laplacian(c, bc.value).astype(np.float64))
+                   for bc in ALL_BCS}
+        out.append((c, spectra))
+    return out
+
+
+def test_large_cluster_inertia_path_matches_dense_ids(giant_clusters):
     """A cluster above the dense threshold is counted via inertia; the
     result must agree with brute-force dense diagonalization."""
     n = DENSE_THRESHOLD + 10
@@ -164,6 +183,101 @@ def test_large_cluster_inertia_path_matches_dense_ids():
     want = np.searchsorted(want_eigs, grid + 1e-12 * 4, side="right") / n
     assert np.allclose(ids.grid_values, want, atol=1e-12)
     assert ids.eigenvalues.size == 0  # nothing pooled densely
+
+    # giant d=2 and d=3 clusters: random energies, eigenvalues +- 1e-7 and
+    # every integer energy, where eigenvalues of high multiplicity sit
+    rng = np.random.default_rng(8)
+    for c, spectra in giant_clusters:
+        width = 4 * c.d
+        for bc, eigs in spectra.items():
+            op = assemble(c, bc)
+            assert not isinstance(op.matrix, np.ndarray)  # sparse above the threshold
+            near = rng.choice(eigs, 4)
+            energies = np.concatenate((rng.uniform(0.0, width, 6), near - 1e-7, near + 1e-7,
+                                       np.arange(width + 1.0)))
+            want = np.searchsorted(eigs, energies + 1e-12 * width, side="right")
+            got = [count_leq(op, float(E)) for E in energies]
+            assert got == want.tolist(), (c.d, bc)
+
+
+def _dense_ldl_count(matrix, E, width):
+    """Reference inertia count: negative eigenvalues of the block factor of
+    a dense LDL^T, moved up by 1e-12 * width while a block is near 0."""
+    while True:
+        _, dmat, _ = scipy.linalg.ldl(matrix.astype(np.float64) - E * np.eye(matrix.shape[0]))
+        blocks = np.linalg.eigvalsh(dmat)
+        if np.abs(blocks).min() >= 1e-12 * width:
+            return int(np.count_nonzero(blocks < 0.0))
+        E += 1e-12 * width
+
+
+def test_count_leq_dense_fallback_at_degenerate_energy(giant_clusters, monkeypatch):
+    """Neumann E = 1 is an eigenvalue of high multiplicity on a cluster with
+    degree-1 vertices; unpivoted sparse LU cannot count it at the shifted
+    energy E + 1e-12 * 4d, so that energy is counted by the dense LDL^T."""
+    c, spectra = giant_clusters[0]
+    assert (c.degrees == 1).any()
+    eigs = spectra[N]
+    assert np.count_nonzero(np.abs(eigs - 1.0) < 1e-8) > 10
+    dense = []
+    ldl = spectral._ldl_pivots
+
+    def recording(op, E):
+        dense.append(E)
+        return ldl(op, E)
+
+    monkeypatch.setattr(spectral, "_ldl_pivots", recording)
+    got = count_leq(assemble(c, N), 1.0)
+    shifted = 1.0 + 1e-12 * 4 * c.d
+    assert dense and dense[0] == shifted  # the fallback counts the shifted energy
+    assert got == _dense_ldl_count(reference_laplacian(c, "N"), shifted, 4 * c.d)
+    assert got == int(np.searchsorted(eigs, shifted, side="right"))
+
+
+def test_sparse_lu_never_factors_an_integer_shift(monkeypatch):
+    """An integer shift gives exact zero pivots (pseudo-Dirichlet at E = 2d
+    has an all-zero diagonal), on which SuperLU's unpivoted path reads
+    uninitialized memory; such counts go to E + 1e-12 * 4d unfactorized."""
+    import scipy.sparse.linalg
+
+    diagonals = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(a, **kwargs):
+        diagonals.append(a.diagonal())
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    op = assemble(make_cubic_cluster(3, 2), DT)  # 3x3 square, d=2
+    eigs = eigenvalues(op)
+    for E in (0.0, 1.0, 2.0, 4.0, 7.0, 8.0):
+        assert count_leq(op, E) == int(np.searchsorted(eigs, E + 8e-12, side="right"))
+    assert diagonals
+    assert not any(float(x).is_integer() for diag in diagonals for x in diag)
+
+
+def test_count_leq_retries_are_bounded(tmp_path, monkeypatch, capsys):
+    """A factorization that always breaks down ends in NumericError after
+    MAX_INERTIA_RETRIES re-entrant calls, and the CLI exits 3."""
+    def broken(op, E):
+        return np.zeros(op.n)
+
+    monkeypatch.setattr(spectral, "_lu_pivots", broken)
+    monkeypatch.setattr(spectral, "_ldl_pivots", broken)
+    calls = Counter()
+    _count_calls(monkeypatch, spectral.count_leq, calls)
+    with pytest.raises(NumericError, match="broke down"):
+        spectral.count_leq(assemble(make_cubic_cluster(2, 2), N), 0.5)
+    assert calls["count_leq"] == MAX_INERTIA_RETRIES + 1
+
+    cfg = tmp_path / "giant.json"
+    cfg.write_text(json.dumps({"d": 2, "L": 48, "p": 0.6, "seed": 1, "task": "ids",
+                               "boundary_conditions": ["N"], "grid_points": 2,
+                               "grid_refine": 0}))
+    out = tmp_path / "out"
+    assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numeric failure (solver): inertia count" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_zero_mode_density_equals_cluster_density(small_ensemble):
