@@ -16,6 +16,11 @@ BC_NAMES = ("N", "Dt", "D")
 MAX_VERTICES = 2**31 - 1
 # the counter-based RNG keys on a uint64 seed; a larger seed would alias
 MAX_SEED = 2**64 - 1
+# grid_points, grid_refine and decay_samples size float64/int64 arrays;
+# numpy refuses 2**63 bytes or more with a ValueError, while a smaller
+# size that cannot be allocated fails as MemoryError (exit 3)
+MAX_ARRAY_ITEMS = 2**59 - 1
+SIZE_FIELDS = ("grid_points", "grid_refine", "decay_samples")
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,10 @@ def validate(cfg: ExperimentConfig) -> list:
             f"tail_window must be [lo, hi] with 0 < lo < hi <= 4d, got {cfg.tail_window!r}"
         )
     need_int("decay_samples", 1)
+    for name in SIZE_FIELDS:
+        value = getattr(cfg, name)
+        if _is_int(value) and value > MAX_ARRAY_ITEMS:
+            problems.append(f"{name} must be at most 2**59 - 1, got {value!r}")
     if cfg.decay_radius is not None:
         need_int("decay_radius", 2)
     need_int("threads", 1)

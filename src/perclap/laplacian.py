@@ -3,14 +3,17 @@
 Matrices are assembled with exact integer entries; floating point only
 enters in the eigensolvers.  Clusters up to :data:`DENSE_THRESHOLD`
 vertices get a dense array, larger ones a sparse CSC matrix, so no
-n x n array is allocated for a giant cluster.
+n x n array is allocated for a giant cluster unless its dense
+:attr:`SymmetricOperator.spectrum` is asked for.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import NumericError
 from .lattice import Cluster
 
 DENSE_THRESHOLD = 2048  # largest cluster assembled dense and diagonalized
@@ -63,6 +66,21 @@ class SymmetricOperator:
     @property
     def spectral_width(self) -> int:
         return 4 * self.cluster.d
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """All eigenvalues, ascending, from the dense symmetric solver.
+
+        Computed once per operator; a sparse matrix is densified first.
+        """
+        dense = self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
+        try:
+            return np.linalg.eigvalsh(dense.astype(np.float64))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"eigensolver failed on cluster with root vertex "
+                f"{int(self.cluster.vertices[0])}: {exc}"
+            ) from exc
 
 
 def assemble(cluster: Cluster, bc: BoundaryCondition) -> SymmetricOperator:

@@ -5,12 +5,12 @@ each distinct cluster shape is diagonalized once per boundary condition
 and its spectrum pooled with the shape's multiplicity.  Spectra are
 cached by the translation-invariant canonical key, so the stages of a
 run share them.  Shapes above :data:`DENSE_THRESHOLD` are not
-diagonalized; :func:`count_leq` counts their eigenvalues at each grid
-energy from the pivot signs of a sparse SuperLU factorization
-(Sylvester's law of inertia), and falls back to a dense Bunch-Kaufman
-LDL^T only at energies where the sparse factorization breaks down.  The
-counting convention is right-continuous throughout: N(E) counts
-eigenvalues <= E.
+diagonalized up front; :func:`count_leq` counts their eigenvalues at
+each grid energy from the pivot signs of a sparse SuperLU factorization
+(Sylvester's law of inertia).  Only at an energy where that
+factorization breaks down twice does it read the count off the shape's
+dense spectrum, computed once per operator.  The counting convention is
+right-continuous throughout: N(E) counts eigenvalues <= E.
 """
 
 import logging
@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .exceptions import DomainError, NumericError
 from .laplacian import (
@@ -34,8 +35,6 @@ log = logging.getLogger(__name__)
 
 ZERO_TOL_FACTOR = 1e-9  # relative to the spectral width 4d
 ATOM_TOL_FACTOR = 1e-12  # snap tolerance for counting at spectral atoms
-# re-entrant count_leq calls allowed for one energy before NumericError
-MAX_INERTIA_RETRIES = 8
 
 
 def zero_tolerance(d: int) -> float:
@@ -48,17 +47,7 @@ def eigenvalues(op: SymmetricOperator) -> np.ndarray:
         raise DomainError(
             f"cluster size {op.n} above dense threshold {DENSE_THRESHOLD}"
         )
-    try:
-        return np.linalg.eigvalsh(op.matrix.astype(np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"eigensolver failed on cluster with root vertex "
-            f"{int(op.cluster.vertices[0])}: {exc}"
-        ) from exc
-
-
-def _root(op: SymmetricOperator) -> int:
-    return int(op.cluster.vertices[0])
+    return op.spectrum
 
 
 def _lu_pivots(op: SymmetricOperator, E: float):
@@ -80,99 +69,55 @@ def _lu_pivots(op: SymmetricOperator, E: float):
     """
     if not math.isfinite(E) or float(E).is_integer():
         return None
-    from scipy.sparse import csc_matrix, identity
-    from scipy.sparse.linalg import splu
-
-    shifted = csc_matrix(op.matrix, dtype=np.float64) - E * identity(op.n, format="csc")
+    shifted = (scipy.sparse.csc_matrix(op.matrix, dtype=np.float64)
+               - E * scipy.sparse.identity(op.n, format="csc"))
     try:
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
     except RuntimeError as exc:
         if "exactly singular" in str(exc):
             return None
         raise NumericError(
-            f"sparse LU failed on cluster with root vertex {_root(op)} at E={E}: {exc}"
+            f"sparse LU failed on cluster with root vertex "
+            f"{int(op.cluster.vertices[0])} at E={E}: {exc}"
         ) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu.U.diagonal()
 
 
-def _ldl_block_eigenvalues(dmat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the (1x1 / 2x2) block-diagonal factor of an LDL^T."""
-    n = dmat.shape[0]
-    out = np.empty(n)
-    i = 0
-    while i < n:
-        if i + 1 < n and dmat[i + 1, i] != 0.0:
-            a, b, c = dmat[i, i], dmat[i + 1, i], dmat[i + 1, i + 1]
-            half = 0.5 * (a + c)
-            disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-            out[i] = half - disc
-            out[i + 1] = half + disc
-            i += 2
-        else:
-            out[i] = dmat[i, i]
-            i += 1
-    return out
-
-
-def _ldl_pivots(op: SymmetricOperator, E: float) -> np.ndarray:
-    """Block pivots of a dense Bunch-Kaufman LDL^T of (matrix - E*I)."""
-    shifted = op.matrix.astype(np.float64)
-    if not isinstance(shifted, np.ndarray):
-        shifted = shifted.toarray()
-    shifted[np.diag_indices_from(shifted)] -= E
-    try:
-        _, dmat, _ = scipy.linalg.ldl(shifted)
-    except Exception as exc:  # LAPACK failure
-        raise NumericError(
-            f"LDL factorization failed on cluster with root vertex {_root(op)} "
-            f"at E={E}: {exc}"
-        ) from exc
-    return _ldl_block_eigenvalues(dmat)
-
-
-def count_leq(op: SymmetricOperator, E: float, _retries: int = 0) -> int:
+def count_leq(op: SymmetricOperator, E: float, _shift: bool = True) -> int:
     """Number of eigenvalues <= E via the inertia of (matrix - E*I).
 
     ``op.matrix`` may be dense or sparse.  By Sylvester's law of inertia
-    the count is the number of negative pivots of a congruence
-    L D L^T; the first factorization is the sparse SuperLU one of
-    :func:`_lu_pivots`.  A factorization breaks down when SuperLU reports
-    the matrix exactly singular, when its row and column permutations
-    differ, or when a pivot is smaller in magnitude than 1e-12 * 4d.
+    the count is the number of negative pivots of the congruence
+    L D L^T of :func:`_lu_pivots`.  That factorization breaks down when
+    SuperLU reports the matrix exactly singular, when its row and column
+    permutations differ, when a pivot is smaller in magnitude than
+    1e-12 * 4d, or when E is an integer, which it refuses.
 
-    On a breakdown (E sits on or next to an eigenvalue, the unpivoted
-    sparse LU meets a tiny pivot, or E is an integer, which the sparse
-    factorization refuses) ``count_leq`` calls itself again at
-    E + 1e-12 * 4d, which puts an eigenvalue at E on the counted side.
-    If the sparse factorization breaks down there too, that energy is
-    counted with the dense Bunch-Kaufman LDL^T, moving up by 1e-12 * 4d
-    per further breakdown.  Unpivoted sparse LU cannot get past energies
-    where a giant cluster has an eigenvalue of high multiplicity (Neumann
-    E = 1 or 2, pseudo-Dirichlet E = 2d), which the pivoted dense
-    factorization handles.  The dense count starts at the shifted energy,
-    not at E: on an eigenvalue, the dense LDL^T at E itself can lose one
-    without showing a small pivot.  Every retry is logged; after
-    :data:`MAX_INERTIA_RETRIES` the count raises :class:`NumericError`.
-    ``_retries`` is internal: the number of calls made before this one
-    for the same count.
+    On a breakdown ``count_leq`` calls itself once at E + 1e-12 * 4d,
+    which puts an eigenvalue at E on the counted side.  If the sparse
+    factorization breaks down there too, the count at that shifted
+    energy is read off the operator's dense spectrum
+    (:attr:`~perclap.laplacian.SymmetricOperator.spectrum`, computed at
+    most once per operator), the same snap convention as the pooled
+    IDS.  Unpivoted sparse LU cannot get past energies where a giant
+    cluster has an eigenvalue of high multiplicity (Neumann E = 1 or 2,
+    pseudo-Dirichlet E = 2d).  Both steps are logged.  ``_shift`` is
+    internal: False in the shifted call.
     """
-    width = op.spectral_width
-    pivots = _ldl_pivots(op, E) if _retries >= 2 else _lu_pivots(op, E)
-    breakdown = ZERO_TOL_FACTOR * 1e-3 * width  # |pivot| ~ 0
+    pivots = _lu_pivots(op, E)
+    breakdown = ZERO_TOL_FACTOR * 1e-3 * op.spectral_width  # |pivot| ~ 0
     if pivots is not None and np.abs(pivots).min() >= breakdown:
         return int(np.count_nonzero(pivots < 0.0))
-    if _retries == MAX_INERTIA_RETRIES:
-        raise NumericError(
-            f"inertia count on cluster with root vertex {_root(op)} broke down "
-            f"{_retries + 1} times, last at E={E}"
-        )
-    retry = E if _retries == 1 else E + 1e-12 * width
-    log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g (%s)", E, retry,
-                "dense LDL" if _retries >= 1 else "sparse LU")
-    return count_leq(op, retry, _retries + 1)
+    if _shift:
+        shifted = E + ATOM_TOL_FACTOR * op.spectral_width
+        log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g", E, shifted)
+        return count_leq(op, shifted, _shift=False)
+    log.warning("inertia count at E=%.17g broke down, counting the dense spectrum", E)
+    return int(np.searchsorted(op.spectrum, E, side="right"))
 
 
 _SPECTRUM_CACHE: dict = {}
@@ -370,6 +315,8 @@ def zero_mode_density(graphs, tol: float | None = None) -> float:
         tol = zero_tolerance(ensemble.d)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN)
-    count = int(np.searchsorted(ids.eigenvalues, tol, side="right"))
-    return count / ids.total_vertices
+    # a giant shape's zero mode is in the grid counts, not in ids.eigenvalues;
+    # the grid ends at 4d, which sets the snap tolerance of evaluate
+    grid = np.unique([tol, 4.0 * ensemble.d])
+    ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN, grid=grid)
+    return float(ids.evaluate(tol))

@@ -153,7 +153,7 @@ def fit_tail(ids: EmpiricalIDS, edge: str, window) -> TailFit:
         sel = (width - ids.grid >= lo) & (width - ids.grid <= hi)
         energies = ids.grid[sel]
         gaps = width - energies
-        top = np.searchsorted(ids.eigenvalues, width - zero_tol) / ids.total_vertices
+        top = ids.evaluate(width - zero_tol)
         mass = top - ids.evaluate(energies)
     else:
         raise DomainError(f"edge must be 'lower' or 'upper', got {edge!r}")

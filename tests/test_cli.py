@@ -19,7 +19,7 @@ from perclap import (
     sample_graph,
 )
 from perclap.cli import main
-from perclap.config import parse_config, serialize_config
+from perclap.config import MAX_ARRAY_ITEMS, SIZE_FIELDS, parse_config, serialize_config
 from perclap.kernels import derive_seed
 from perclap.laplacian import DENSE_THRESHOLD
 from perclap.runner import run
@@ -88,6 +88,8 @@ def test_invalid_values_rejected():
         # boxes above 2**31 - 1 vertices
         {"d": 2, "L": 10, "p": 0.3, "task": "decay", "decay_radius": 100000},
         {"d": 3, "L": 3000000, "p": 0.1, "task": "ids"},
+        # array sizes numpy refuses with a ValueError
+        *({**MINIMAL, key: huge} for key in SIZE_FIELDS for huge in (2**60, 10**30)),
     ]:
         with pytest.raises(ConfigurationError):
             config_from_dict(bad)
@@ -123,6 +125,10 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
         ({**small, "task": "ids", "grid_points": big}, "out of memory", ""),
         ({**small, "task": "ids", "grid_refine": big}, "out of memory", ""),
         ({**small, "task": "decay", "decay_samples": 10 * big}, "out of memory", ""),
+        # the largest sizes validation accepts still fail as out of memory
+        ({**small, "task": "ids", "grid_points": MAX_ARRAY_ITEMS}, "out of memory", ""),
+        ({**small, "task": "ids", "grid_refine": MAX_ARRAY_ITEMS}, "out of memory", ""),
+        ({**small, "task": "decay", "decay_samples": MAX_ARRAY_ITEMS}, "out of memory", ""),
     ]
     for i, (data, kind, reason) in enumerate(cases):
         cfg = _write(tmp_path, data, name=f"c{i}.json")

@@ -12,7 +12,6 @@ import perclap
 from perclap import (
     DomainError,
     LatticeBox,
-    NumericError,
     clusters,
     count_leq,
     default_grid,
@@ -31,7 +30,6 @@ from perclap.laplacian import ALL_BCS, BoundaryCondition, assemble
 from perclap.lattice import ShapeEnsemble
 from perclap.spectral import (
     DENSE_THRESHOLD,
-    MAX_INERTIA_RETRIES,
     REFLECTION_MAX_VERTICES,
     REFLECTION_TOL,
     chain_holds,
@@ -211,27 +209,36 @@ def _dense_ldl_count(matrix, E, width):
         E += 1e-12 * width
 
 
-def test_count_leq_dense_fallback_at_degenerate_energy(giant_clusters, monkeypatch):
-    """Neumann E = 1 is an eigenvalue of high multiplicity on a cluster with
-    degree-1 vertices; unpivoted sparse LU cannot count it at the shifted
-    energy E + 1e-12 * 4d, so that energy is counted by the dense LDL^T."""
+def test_count_leq_dense_fallback_at_degenerate_energy(giant_clusters, monkeypatch, caplog):
+    """Neumann E = 1 and 2 are eigenvalues of high multiplicity on a cluster
+    with degree-1 vertices; unpivoted sparse LU cannot count them at the
+    shifted energy E + 1e-12 * 4d either, so that energy is counted from the
+    operator's dense spectrum, which is computed once for both energies."""
     c, spectra = giant_clusters[0]
     assert (c.degrees == 1).any()
     eigs = spectra[N]
-    assert np.count_nonzero(np.abs(eigs - 1.0) < 1e-8) > 10
-    dense = []
-    ldl = spectral._ldl_pivots
+    width = 4 * c.d
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def recording(op, E):
-        dense.append(E)
-        return ldl(op, E)
+    def recording(a, *args, **kwargs):
+        solves.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_ldl_pivots", recording)
-    got = count_leq(assemble(c, N), 1.0)
-    shifted = 1.0 + 1e-12 * 4 * c.d
-    assert dense and dense[0] == shifted  # the fallback counts the shifted energy
-    assert got == _dense_ldl_count(reference_laplacian(c, "N"), shifted, 4 * c.d)
-    assert got == int(np.searchsorted(eigs, shifted, side="right"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    op = assemble(c, N)
+    with caplog.at_level("WARNING", logger="perclap.spectral"):
+        got = {E: count_leq(op, E) for E in (1.0, 2.0)}
+    monkeypatch.undo()
+    assert solves == [c.n_vertices]
+    dense = [r.getMessage() for r in caplog.records if "dense spectrum" in r.getMessage()]
+    assert dense == [f"inertia count at E={E + 1e-12 * width:.17g} broke down, "
+                     "counting the dense spectrum" for E in (1.0, 2.0)]
+    for E, count in got.items():
+        assert np.count_nonzero(np.abs(eigs - E) < 1e-8) > 10
+        shifted = E + 1e-12 * width  # the fallback counts the shifted energy
+        assert count == int(np.searchsorted(eigs, shifted, side="right"))
+        assert count == _dense_ldl_count(reference_laplacian(c, "N"), shifted, width)
 
 
 def test_sparse_lu_never_factors_an_integer_shift(monkeypatch):
@@ -256,32 +263,40 @@ def test_sparse_lu_never_factors_an_integer_shift(monkeypatch):
     assert not any(float(x).is_integer() for diag in diagonals for x in diag)
 
 
-def test_count_leq_retries_are_bounded(tmp_path, monkeypatch, capsys):
-    """A factorization that always breaks down ends in NumericError after
-    MAX_INERTIA_RETRIES re-entrant calls, and the CLI exits 3."""
+def test_count_leq_retries_are_bounded(tmp_path, monkeypatch):
+    """A sparse factorization that always breaks down costs each energy one
+    shifted call, two count_leq calls in all, and the count then comes from
+    the dense spectrum; the CLI still succeeds on a giant cluster."""
     def broken(op, E):
         return np.zeros(op.n)
 
     monkeypatch.setattr(spectral, "_lu_pivots", broken)
-    monkeypatch.setattr(spectral, "_ldl_pivots", broken)
     calls = Counter()
     _count_calls(monkeypatch, spectral.count_leq, calls)
-    with pytest.raises(NumericError, match="broke down"):
-        spectral.count_leq(assemble(make_cubic_cluster(2, 2), N), 0.5)
-    assert calls["count_leq"] == MAX_INERTIA_RETRIES + 1
+    op = assemble(make_cubic_cluster(2, 2), N)  # spectrum {0, 2, 2, 4}
+    for E, want in ((0.0, 1), (0.5, 1), (2.0, 3), (3.5, 3), (4.0, 4)):
+        calls.clear()
+        assert spectral.count_leq(op, E) == want
+        assert calls["count_leq"] == 2
+        assert want == int(np.searchsorted(eigenvalues(op), E + 8e-12, side="right"))
 
     cfg = tmp_path / "giant.json"
     cfg.write_text(json.dumps({"d": 2, "L": 48, "p": 0.6, "seed": 1, "task": "ids",
                                "boundary_conditions": ["N"], "grid_points": 2,
                                "grid_refine": 0}))
     out = tmp_path / "out"
-    assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "numeric failure (solver): inertia count" in capsys.readouterr().err
-    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 0
+    graph = sample_graph(LatticeBox(2, 48), 0.6, derive_seed(1, 0))
+    assert max(c.n_vertices for c in clusters(graph)) > DENSE_THRESHOLD
+    zero_modes = len(clusters(graph)) / graph.box.n_vertices
+    assert (out / "ids_N.csv").read_text() == f"E,N\n0,{zero_modes:.17g}\n8,1\n"
 
 
 def test_zero_mode_density_equals_cluster_density(small_ensemble):
-    for g in small_ensemble:
+    # a supercritical box: one of its 93 clusters is above the dense threshold
+    giant = sample_graph(LatticeBox(2, 48), 0.6, derive_seed(1, 0))
+    assert max(c.n_vertices for c in clusters(giant)) > DENSE_THRESHOLD
+    for g in list(small_ensemble) + [giant]:
         rho = zero_mode_density([g])
         n_clusters = len(clusters(g))
         assert rho == pytest.approx(n_clusters / g.box.n_vertices, abs=1e-15)

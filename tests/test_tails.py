@@ -17,7 +17,8 @@ from perclap import (
     sample_graph,
 )
 from perclap.kernels import component_roots, derive_seed, edge_open_mask
-from perclap.laplacian import ALL_BCS, assemble
+from perclap.laplacian import ALL_BCS, DENSE_THRESHOLD, assemble
+from perclap.lattice import ShapeEnsemble
 from perclap.tails import (
     _path_counts,
     analytic_tail_fit,
@@ -140,6 +141,25 @@ def test_fit_tail_on_empirical_ids():
     assert up.slope < 0
     with pytest.raises(DomainError):
         fit_tail(ids, "diagonal", (1e-4, 1e-2))
+
+
+def test_fit_tail_upper_edges_count_giant_cluster():
+    """Upper-edge masses count the giant cluster too, so the reflection
+    spec(D) = 4d - spec(N) holds for the fits: the Dirichlet upper tail is
+    the Neumann lower one, and the pseudo-Dirichlet tails mirror each other."""
+    g = sample_graph(LatticeBox(2, 48), 0.6, derive_seed(1, 0))
+    ensemble = ShapeEnsemble([g])
+    assert max(c.n_vertices for c in ensemble.shapes) > DENSE_THRESHOLD
+    ids = {bc: empirical_ids(ensemble, bc) for bc in ALL_BCS}
+    window = (1e-3, 1.0)
+    n_lower, d_upper = fit_tail(ids[N], "lower", window), fit_tail(ids[D], "upper", window)
+    assert n_lower.n_points == d_upper.n_points == 71
+    # not exact: an atom on a grid energy g is in the N mass at g but, by
+    # right-continuity, not in the D mass at gap g
+    assert d_upper.slope == pytest.approx(n_lower.slope, abs=1e-3)
+    dt_lower, dt_upper = fit_tail(ids[DT], "lower", window), fit_tail(ids[DT], "upper", window)
+    assert dt_lower.n_points == dt_upper.n_points == 8
+    assert dt_upper.slope == pytest.approx(dt_lower.slope, rel=1e-9)
 
 
 def test_fit_tail_insufficient_data():
