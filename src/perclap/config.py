@@ -16,9 +16,10 @@ BC_NAMES = ("N", "Dt", "D")
 MAX_VERTICES = 2**31 - 1
 # the counter-based RNG keys on a uint64 seed; a larger seed would alias
 MAX_SEED = 2**64 - 1
-# grid_points, grid_refine and decay_samples size float64/int64 arrays;
-# numpy refuses 2**63 bytes or more with a ValueError, while a smaller
-# size that cannot be allocated fails as MemoryError (exit 3)
+# grid_points, grid_refine and decay_samples size float64/int64 arrays, as
+# does the d=1 tail series truncation; numpy refuses 2**63 bytes or more
+# with a ValueError, while a smaller size that cannot be allocated fails
+# as MemoryError (exit 3)
 MAX_ARRAY_ITEMS = 2**59 - 1
 SIZE_FIELDS = ("grid_points", "grid_refine", "decay_samples")
 
@@ -154,6 +155,13 @@ def validate(cfg: ExperimentConfig) -> list:
             problems.append(
                 f"box L**d = {cfg.L}**{cfg.d} exceeds {MAX_VERTICES} vertices"
             )
+        # every realization is sampled before any is decomposed
+        elif (_is_int(cfg.L) and _is_int(cfg.realizations)
+              and cfg.realizations * cfg.L ** cfg.d > MAX_VERTICES):
+            problems.append(
+                f"ensemble realizations * L**d = {cfg.realizations} * {cfg.L}**{cfg.d} "
+                f"exceeds {MAX_VERTICES} vertices"
+            )
         if _is_int(cfg.decay_radius) and (2 * cfg.decay_radius + 1) ** cfg.d > MAX_VERTICES:
             problems.append(
                 f"decay box (2*decay_radius+1)**d = {2 * cfg.decay_radius + 1}**{cfg.d} "
@@ -168,7 +176,9 @@ def parse_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bytes that are not UTF-8, integer literals past
+        # the int-to-str digit limit, and arrays nested past the recursion limit
         raise ConfigurationError(f"malformed JSON in {path}: {exc}") from exc
     return config_from_dict(data)
 

@@ -27,7 +27,7 @@ class NumericError(PerclapError):
 
 
 class UnsupportedSizeError(PerclapError):
-    """Cluster too large for an exhaustive computation."""
+    """A cluster or series too large to compute exhaustively."""
 
     kind = "unsupported size"
 

@@ -1,9 +1,9 @@
 """Cheeger and Faber-Krahn bounds checked against computed spectra.
 
-The Cheeger constant is exact: the subset search runs over vertex
-bitmasks (the edge boundary depends only on the vertex set) and the
-minimal ratio is kept as an integer pair, so margins carry no
-search-side floating error.
+The Cheeger constant is exact: the search runs over every connected
+vertex subset of at most half the vertices, where the minimal ratio is
+always attained, and keeps the minimum as an integer pair, so margins
+carry no search-side floating error.
 """
 
 from dataclasses import dataclass

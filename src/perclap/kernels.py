@@ -1,8 +1,9 @@
 """Hot numeric kernels: counter-based RNG, cluster labeling, Cheeger cut search.
 
-All kernels are vectorized numpy.  The RNG is a splitmix64 finalizer
-evaluated per counter value, so edge decisions depend only on
-(seed, edge index) and never on iteration order.
+The RNG and labeling kernels are vectorized numpy; the Cheeger cut search
+walks connected vertex subsets on Python-int bitmasks.  The RNG is a
+splitmix64 finalizer evaluated per counter value, so edge decisions
+depend only on (seed, edge index) and never on iteration order.
 """
 
 import numpy as np
@@ -127,29 +128,68 @@ def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.nd
 
 
 # ---------------------------------------------------------------------------
-# exhaustive Cheeger cut
+# exact Cheeger cut
+
+
+def _add_neighbour(layers: list, bit: int) -> None:
+    """Record one more edge to the neighbour ``bit`` in a vertex's layers."""
+    for j, m in enumerate(layers):
+        if not m & bit:
+            layers[j] = m | bit
+            return
+    layers.append(bit)
 
 
 def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
-    """Minimal (|boundary edges|, |W|) ratio over subsets W with 2|W| <= n."""
-    total = 1 << n_vertices
-    best_b, best_w = -1, 1
-    eu = eu.astype(np.uint32)
-    ev = ev.astype(np.uint32)
-    chunk = 1 << 16
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        w = np.bitwise_count(masks).astype(np.int64)
-        keep = 2 * w <= n_vertices
-        masks, w = masks[keep], w[keep]
-        if masks.size == 0:
+    """Minimal (|boundary edges|, |W|) ratio over subsets W with 2|W| <= n.
+
+    The minimum is attained on a W that induces a connected subgraph: if W
+    splits into parts with no edge between them, its boundary is the sum
+    of theirs, so its ratio is a mediant of theirs and one part does at
+    least as well.  Each connected W is visited once, by ESU extension
+    (Wernicke 2006) from its smallest vertex over Python-int bitmasks,
+    with the boundary updated as vertices join.  Self-loops cross no cut;
+    parallel edges count with their multiplicity.  Returns ``(-1, 1)``
+    when n < 2, where no subset qualifies.
+    """
+    k = n_vertices // 2
+    if k == 0:
+        return -1, 1
+    # layers[x][j]: neighbours joined to x by more than j parallel edges
+    layers = [[0] for _ in range(n_vertices)]
+    deg = [0] * n_vertices
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        if u == v:
             continue
-        b = np.zeros(masks.size, dtype=np.int64)
-        for u, v in zip(eu, ev):
-            b += ((masks >> u) ^ (masks >> v)) & 1
-        # distinct ratios with w <= n are separated by >> float eps,
-        # so the float argmin picks an exactly optimal cut
-        j = int(np.argmin(b / w))
-        if best_b < 0 or b[j] * best_w < best_b * w[j]:
-            best_b, best_w = int(b[j]), int(w[j])
+        for x, y in ((u, v), (v, u)):
+            deg[x] += 1
+            _add_neighbour(layers[x], 1 << y)
+    nbr = [lx[0] for lx in layers]
+    extra = [lx[1:] for lx in layers]
+    best_b, best_w = min(deg), 1
+
+    def extend(sub, size, b, closed, ext, above):
+        # grow the connected ``sub`` (boundary b) by one candidate at a time;
+        # ``closed`` is sub and its neighbours, ``ext`` the candidates so far
+        nonlocal best_b, best_w
+        size += 1
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            x = bit.bit_length() - 1
+            inner = (nbr[x] & sub).bit_count()
+            for m in extra[x]:
+                inner += (m & sub).bit_count()
+            bx = b + deg[x] - 2 * inner
+            if bx * best_w < best_b * size:
+                best_b, best_w = bx, size
+            if size < k:
+                extend(sub | bit, size, bx, closed | nbr[x],
+                       ext | (nbr[x] & above & ~closed), above)
+
+    if k > 1:
+        full = (1 << n_vertices) - 1
+        for v in range(n_vertices):
+            above = full ^ ((2 << v) - 1)
+            extend(1 << v, 1, deg[v], nbr[v] | (1 << v), nbr[v] & above, above)
     return best_b, best_w

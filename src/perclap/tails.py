@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .exceptions import DomainError, InsufficientDataError, PrecisionError
+from .config import MAX_ARRAY_ITEMS
+from .exceptions import DomainError, InsufficientDataError, PrecisionError, UnsupportedSizeError
 from .laplacian import BoundaryCondition
 from .lattice import LatticeBox
 from .spectral import EmpiricalIDS
@@ -62,6 +63,11 @@ def ids_1d_series(p: float, energy: float, bc: BoundaryCondition, n_max: int | N
         raise DomainError(f"energy must be in (0,4], got {energy}")
     if n_max is None:
         n_max = series_truncation(p, energy)
+    if n_max > MAX_ARRAY_ITEMS:
+        raise UnsupportedSizeError(
+            f"series truncation n_max={n_max:.3e} at E={energy:g} exceeds "
+            f"{MAX_ARRAY_ITEMS} array items"
+        )
     tail = p ** n_max
     if tail >= 1e-16:
         raise PrecisionError(

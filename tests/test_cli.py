@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import perclap
 from perclap import (
@@ -19,7 +22,14 @@ from perclap import (
     sample_graph,
 )
 from perclap.cli import main
-from perclap.config import MAX_ARRAY_ITEMS, SIZE_FIELDS, parse_config, serialize_config
+from perclap.config import (
+    BC_NAMES,
+    MAX_ARRAY_ITEMS,
+    SIZE_FIELDS,
+    TASKS,
+    parse_config,
+    serialize_config,
+)
 from perclap.kernels import derive_seed
 from perclap.laplacian import DENSE_THRESHOLD
 from perclap.runner import run
@@ -88,6 +98,8 @@ def test_invalid_values_rejected():
         # boxes above 2**31 - 1 vertices
         {"d": 2, "L": 10, "p": 0.3, "task": "decay", "decay_radius": 100000},
         {"d": 3, "L": 3000000, "p": 0.1, "task": "ids"},
+        # ensembles above 2**31 - 1 vertices in all
+        {**MINIMAL, "realizations": 10**14},
         # array sizes numpy refuses with a ValueError
         *({**MINIMAL, key: huge} for key in SIZE_FIELDS for huge in (2**60, 10**30)),
     ]:
@@ -99,7 +111,14 @@ def test_parse_config_file_errors(tmp_path):
     with pytest.raises(ConfigurationError, match="cannot read"):
         parse_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    texts = ["{not json", '{"d": ' + "[" * 100_000 + "]" * 100_000 + "}"]
+    if hasattr(sys, "get_int_max_str_digits"):  # the digit limit came in 3.10.7
+        texts.append('{"d": 1' + "0" * 5000 + "}")
+    for text in texts:
+        bad.write_text(text)
+        with pytest.raises(ConfigurationError, match="malformed"):
+            parse_config(bad)
+    bad.write_bytes(b'{"d": "\xff"}')
     with pytest.raises(ConfigurationError, match="malformed"):
         parse_config(bad)
 
@@ -129,6 +148,11 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
         ({**small, "task": "ids", "grid_points": MAX_ARRAY_ITEMS}, "out of memory", ""),
         ({**small, "task": "ids", "grid_refine": MAX_ARRAY_ITEMS}, "out of memory", ""),
         ({**small, "task": "decay", "decay_samples": MAX_ARRAY_ITEMS}, "out of memory", ""),
+        # the series at E = 1e-300 needs about 1e151 path lengths
+        ({**small, "task": "tails", "tail_window": [1e-300, 1e-299]}, "unsupported size",
+         "series truncation"),
+        ({**small, "task": "all", "tail_window": [1e-300, 1e-299], "grid_points": 16,
+          "grid_refine": 0, "decay_samples": 2000}, "unsupported size", "series truncation"),
     ]
     for i, (data, kind, reason) in enumerate(cases):
         cfg = _write(tmp_path, data, name=f"c{i}.json")
@@ -138,6 +162,69 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["failure"]
+
+
+# small valid values per config key: every run that passes validation is quick
+_VALID = {
+    "d": st.integers(1, 3),
+    "L": st.integers(2, 8),
+    "p": st.floats(0.05, 0.9),
+    "task": st.sampled_from(TASKS),
+    "realizations": st.integers(1, 2),
+    "seed": st.integers(0, 2**64 - 1),
+    "boundary_conditions": st.lists(st.sampled_from(BC_NAMES), min_size=1, max_size=3),
+    "grid_points": st.integers(2, 16),
+    "grid_refine": st.integers(0, 2),
+    "tail_mode": st.sampled_from(["analytic", "mc"]),
+    "tail_window": st.sampled_from([[1e-3, 1.0], [0.05, 2.0]]),
+    "decay_samples": st.integers(1, 200),
+    "decay_radius": st.none() | st.integers(2, 6),
+    "threads": st.integers(1, 4),
+    "emit_graph": st.booleans(),
+}
+_MISSING = object()
+# keys whose defaults run long: 100,000 decay samples, a 512-point grid, and
+# a d=1 series window reaching down to E = 1e-8
+_SLOW_DEFAULTS = ("tail_window", *SIZE_FIELDS)
+# wrong types, non-finite and extreme floats, huge integers, nested lists;
+# each huge size fails validation or an allocation at once
+_HOSTILE = st.one_of(
+    st.sampled_from([
+        _MISSING, None, True, "", "3", float("nan"), float("inf"), float("-inf"),
+        1e-300, -1, 0, 2.5, 10**14, MAX_ARRAY_ITEMS, 2**63, 2**64, 10**30, {}, {"d": 1},
+        [1e-300, 1e-299], [float("nan"), 1.0], [1e-300, 1e-3],
+    ]),
+    st.recursive(st.integers(-3, 3) | st.text(max_size=3),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+)
+
+
+@st.composite
+def _hostile_configs(draw):
+    data = {key: draw(value) for key, value in _VALID.items()
+            if key in ("d", "L", "p", *_SLOW_DEFAULTS) or draw(st.booleans())}
+    for key in draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=2, unique=True)):
+        value = draw(_HOSTILE)
+        if value is not _MISSING:
+            data[key] = value
+        elif key not in _SLOW_DEFAULTS:
+            data.pop(key, None)
+    if draw(st.integers(0, 3)) == 3:
+        data[draw(st.text(min_size=1, max_size=8))] = draw(_HOSTILE.filter(
+            lambda v: v is not _MISSING))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TASKS), _hostile_configs())
+def test_cli_exit_contract_on_hostile_configs(task, data):
+    """Any JSON object gives exit 0, 2 or 3, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code = main([task, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
 
 
 def test_skipped_analytic_tails_recorded(tmp_path):

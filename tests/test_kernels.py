@@ -2,7 +2,8 @@
 
 The splitmix64 reference values are the published test vectors of the
 generator; everything else is checked against an independent
-reimplementation: scalar splitmix64, DFS labeling, brute-force cuts.
+reimplementation: scalar splitmix64, DFS labeling, brute-force cuts and
+the vectorized all-subsets cut search the connected-subset kernel replaced.
 """
 
 import hashlib
@@ -11,11 +12,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perclap
 from perclap import LatticeBox, kernels, sample_graph
+from perclap.lattice import ShapeEnsemble
 from perclap.kernels import derive_seed, edge_open_mask, edge_uniforms, splitmix64
 
 # published sequence of splitmix64 seeded with 0: next() == finalize(state + golden)
@@ -120,6 +122,91 @@ def test_cheeger_cut_matches_brute_force():
         want = _brute_force_cut(n, eu.tolist(), ev.tolist())
         got = kernels.best_cheeger_cut(n, eu, ev)
         assert got[0] * want[1] == want[0] * got[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+# the only zero cut avoids vertex 0
+@example((5, [(0, 2), (0, 3), (1, 4)]))
+def test_cheeger_cut_matches_brute_force_on_multigraphs(graph):
+    """Self-loops, parallel edges and disconnected graphs included."""
+    n, edges = graph
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    want = _brute_force_cut(n, eu.tolist(), ev.tolist())
+    got = kernels.best_cheeger_cut(n, eu, ev)
+    assert got[0] * want[1] == want[0] * got[1]
+
+
+def _bitmask_cheeger_cut(n_vertices, eu, ev):
+    """All-subsets search: every bitmask W with 2|W| <= n, in numpy chunks."""
+    total = 1 << n_vertices
+    best_b, best_w = -1, 1
+    eu = eu.astype(np.uint32)
+    ev = ev.astype(np.uint32)
+    chunk = 1 << 16
+    for start in range(1, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        w = np.bitwise_count(masks).astype(np.int64)
+        keep = 2 * w <= n_vertices
+        masks, w = masks[keep], w[keep]
+        if masks.size == 0:
+            continue
+        b = np.zeros(masks.size, dtype=np.int64)
+        for u, v in zip(eu, ev):
+            b += ((masks >> u) ^ (masks >> v)) & 1
+        # distinct ratios with w <= n are separated by >> float eps,
+        # so the float argmin picks an exactly optimal cut
+        j = int(np.argmin(b / w))
+        if best_b < 0 or b[j] * best_w < best_b * w[j]:
+            best_b, best_w = int(b[j]), int(w[j])
+    return best_b, best_w
+
+
+def _assert_same_ratio(n, eu, ev):
+    got = kernels.best_cheeger_cut(n, eu, ev)
+    want = _bitmask_cheeger_cut(n, eu, ev)
+    assert got[0] * want[1] == want[0] * got[1], (n, got, want)
+    return got
+
+
+def _shapes(d, L, p, realizations, seed):
+    box = LatticeBox(d, L)
+    graphs = [sample_graph(box, p, derive_seed(seed, i)) for i in range(realizations)]
+    return [c for c in ShapeEnsemble(graphs).shapes if 2 <= c.n_vertices <= 20]
+
+
+def test_cheeger_cut_matches_bitmask_search_on_d2_shapes():
+    shapes = _shapes(2, 24, 0.3, 50, 11)
+    assert len(shapes) > 300 and max(c.n_vertices for c in shapes) > 12
+    for c in shapes:
+        _assert_same_ratio(c.n_vertices, c.edges[:, 0], c.edges[:, 1])
+
+
+def test_cheeger_cut_matches_bitmask_search_on_d3_shapes():
+    shapes = _shapes(3, 10, 0.2, 20, 3)
+    assert len(shapes) > 300 and max(c.n_vertices for c in shapes) > 12
+    for c in shapes:
+        _assert_same_ratio(c.n_vertices, c.edges[:, 0], c.edges[:, 1])
+
+
+def _box_edges(shape):
+    """Vertex count and edges of the full lattice box with these sides."""
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    eu, ev = [], []
+    for axis, side in enumerate(shape):
+        eu.append(index.take(range(side - 1), axis=axis).ravel())
+        ev.append(index.take(range(1, side), axis=axis).ravel())
+    return index.size, np.concatenate(eu), np.concatenate(ev)
+
+
+def test_cheeger_cut_matches_bitmask_search_on_full_boxes():
+    # the densest 20-vertex shapes: the most connected subsets per vertex
+    for shape, (b, w) in (((4, 5), (5, 10)), ((2, 2, 5), (4, 8)), ((1, 20), (1, 10))):
+        got = _assert_same_ratio(*_box_edges(shape))
+        assert got[0] * w == b * got[1], shape
 
 
 def test_sampling_identical_across_processes():
