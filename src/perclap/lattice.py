@@ -147,8 +147,25 @@ class Cluster:
         return self._key
 
 
+# Cluster objects are built this many at a time, so that the Python lists
+# of slice bounds stay small next to the realization's arrays
+_CLUSTER_CHUNK = 4096
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def clusters(graph: PercolationGraph) -> list:
-    """Decompose a realization into clusters, ordered by smallest vertex."""
+    """Decompose a realization into clusters, ordered by smallest vertex.
+
+    The whole realization is grouped in one sorted pass: vertices by
+    component root (ascending within a component), their coordinates and
+    degrees in that order, and the edges, in local indices, stably by
+    root.  Each cluster's arrays are slices of these four shared arrays,
+    which are read-only so that no cluster can write into another.
+    """
     box = graph.box
     nv = box.n_vertices
     eu, ev = graph.open_eu, graph.open_ev
@@ -156,37 +173,33 @@ def clusters(graph: PercolationGraph) -> list:
 
     order = np.argsort(roots, kind="stable")
     sorted_roots = roots[order]
-    cuts = np.flatnonzero(np.diff(sorted_roots)) + 1
-    vertex_groups = np.split(order, cuts)
-
-    degrees_global = (
+    starts = np.flatnonzero(np.diff(sorted_roots, prepend=-1))
+    sizes = np.diff(starts, append=nv)
+    local = np.empty(nv, dtype=np.int64)
+    local[order] = np.arange(nv, dtype=np.int64) - np.repeat(starts, sizes)
+    coords = box.coords(order)
+    degrees = (
         np.bincount(eu, minlength=nv) + np.bincount(ev, minlength=nv)
-    ).astype(np.int64)
-    coords_all = box.coords(np.arange(nv, dtype=np.int64))
+    ).astype(np.int64)[order]
 
-    edge_groups = {}
-    if eu.size:
-        eroots = roots[eu]
-        eorder = np.argsort(eroots, kind="stable")
-        seroots = eroots[eorder]
-        ecuts = np.flatnonzero(np.diff(seroots)) + 1
-        starts = np.concatenate(([0], ecuts))
-        for s, grp in zip(starts, np.split(eorder, ecuts)):
-            edge_groups[int(seroots[s])] = grp
+    eroots = roots[eu]
+    eorder = np.argsort(eroots, kind="stable")
+    edges = np.empty((eu.size, 2), dtype=np.int64)
+    edges[:, 0] = local[eu[eorder]]
+    edges[:, 1] = local[ev[eorder]]
+    edge_counts = np.bincount(eroots, minlength=nv)[sorted_roots[starts]]
+    _readonly(order, coords, degrees, edges)
 
+    vbounds = np.append(starts, nv)
+    ebounds = np.concatenate(([0], np.cumsum(edge_counts)))
+    d = box.d
     out = []
-    empty = np.empty((0, 2), dtype=np.int64)
-    for verts in vertex_groups:
-        root = int(verts[0])
-        eg = edge_groups.get(root)
-        if eg is None:
-            edges = empty
-        else:
-            gu = np.searchsorted(verts, eu[eg])
-            gv = np.searchsorted(verts, ev[eg])
-            edges = np.column_stack((gu, gv))
-        out.append(
-            Cluster(box.d, verts, coords_all[verts], edges, degrees_global[verts])
+    for lo in range(0, starts.size, _CLUSTER_CHUNK):
+        vb = vbounds[lo:lo + _CLUSTER_CHUNK + 1].tolist()
+        eb = ebounds[lo:lo + _CLUSTER_CHUNK + 1].tolist()
+        out.extend(
+            Cluster(d, order[s:t], coords[s:t], edges[es:et], degrees[s:t])
+            for s, t, es, et in zip(vb, vb[1:], eb, eb[1:])
         )
     return out
 
@@ -198,7 +211,19 @@ class ShapeEnsemble:
     first-seen order, ``counts`` its multiplicity and ``order`` the shape
     id of every cluster in realization and cluster order.  Each
     realization is decomposed once, and its cluster list dropped before
-    the next one is built.
+    the next one is built.  A representative is a copy of the cluster
+    first seen, so it does not keep its realization's arrays alive.
+
+    Clusters are matched by a box-offset key, ``(L, vertices -
+    vertices[0], edges)``, which skips the per-cluster coordinate
+    arithmetic of ``canonical_key()``.  Within one box side L >= 2 it is
+    exact: the linear offset of every edge, ``vertices[v] - vertices[u]``,
+    is +-L**nu and so names the edge's axis nu, and walking the edges of
+    the connected cluster then fixes every coordinate relative to vertex
+    0.  Equal keys thus mean translates, and translates have equal
+    offsets because linearization is linear.  (L = 1 has only isolated
+    vertices.)  Boxes of different sides are merged by computing
+    ``canonical_key()`` once per newly seen box-offset key.
     """
 
     def __init__(self, graphs):
@@ -208,16 +233,35 @@ class ShapeEnsemble:
         self.d = graphs[0].box.d
         if any(g.box.d != self.d for g in graphs):
             raise DomainError("all graphs must share the lattice dimension")
-        first = {}  # canonical key -> (shape id, representative cluster)
+        by_offsets = {}  # box-offset key -> shape id
+        by_canonical = {}  # canonical key -> shape id
+        shapes = []
         order = []
         for g in graphs:
+            L = g.box.L
             for c in clusters(g):
-                order.append(first.setdefault(c.canonical_key(), (len(first), c))[0])
-        self.shapes = [c for _, c in first.values()]
+                v = c.vertices
+                key = (L, (v - v[0]).tobytes(), c.edges.tobytes())
+                sid = by_offsets.get(key)
+                if sid is None:
+                    rep = _copy_cluster(c)
+                    sid = by_canonical.setdefault(rep.canonical_key(), len(shapes))
+                    if sid == len(shapes):
+                        shapes.append(rep)
+                    by_offsets[key] = sid
+                order.append(sid)
+        self.shapes = shapes
         self.order = np.array(order, dtype=np.int64)
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
         self.n_clusters = len(order)
         self.total_vertices = sum(g.box.n_vertices for g in graphs)
+
+
+def _copy_cluster(c: Cluster) -> Cluster:
+    """A read-only copy of ``c`` that shares no array with it."""
+    arrays = [a.copy() for a in (c.vertices, c.coords, c.edges, c.degrees)]
+    _readonly(*arrays)
+    return Cluster(c.d, *arrays)
 
 
 def _cluster_from_coords(d, coords, edge_pairs):

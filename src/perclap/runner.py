@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import kernels
 from .config import ExperimentConfig
-from .exceptions import DomainError, PerclapError
+from .exceptions import DomainError, InsufficientDataError, PerclapError
 from .isoperimetry import report_cluster
 from .laplacian import ALL_BCS
 from .lattice import LatticeBox, ShapeEnsemble, graph_to_json_dict, sample_graph
@@ -133,7 +133,13 @@ def _run_verify(cfg, ensemble, grid, outputs, out, cache):
     outputs["verify_summary.json"] = _write_json(out / "verify_summary.json", summary)
 
 
-def _run_tails(cfg, ensemble, grid, outputs, out, cache):
+def _run_tails(cfg, ensemble, grid, outputs, out, cache, skipped):
+    """Fit every band edge and write one ``tail_<bc>_<edge>.json`` per fit.
+
+    A fit with too few usable points (in mc mode, typically an edge of a
+    supercritical box that holds too little mass) is named in ``skipped``
+    with its reason; the stage fails only if no fit succeeds.
+    """
     if cfg.tail_mode == "analytic" and cfg.d != 1:
         raise DomainError(f"{ANALYTIC_TAILS_D1_ONLY}; use tail_mode 'mc' for d >= 2")
     window = tuple(cfg.tail_window)
@@ -145,11 +151,17 @@ def _run_tails(cfg, ensemble, grid, outputs, out, cache):
             name: empirical_ids(ensemble, _BC_BY_NAME[name], grid=grid, cache=cache)
             for name in {n for n, _ in jobs}
         }
+    unfitted = {}
     for name, edge in jobs:
-        if cfg.tail_mode == "analytic":
-            fit = analytic_tail_fit(cfg.p, _BC_BY_NAME[name], window, edge=edge)
-        else:
-            fit = fit_tail(ids_by_bc[name], edge, window)
+        stem = f"tail_{name}_{edge}"
+        try:
+            if cfg.tail_mode == "analytic":
+                fit = analytic_tail_fit(cfg.p, _BC_BY_NAME[name], window, edge=edge)
+            else:
+                fit = fit_tail(ids_by_bc[name], edge, window)
+        except InsufficientDataError as exc:
+            unfitted[stem] = f"{exc.kind}: {exc}"
+            continue
         report = {
             "bc": name,
             "edge": edge,
@@ -161,8 +173,13 @@ def _run_tails(cfg, ensemble, grid, outputs, out, cache):
             "residual": fit.residual,
             "points": fit.n_points,
         }
-        fname = f"tail_{name}_{edge}.json"
-        outputs[fname] = _write_json(out / fname, report)
+        outputs[f"{stem}.json"] = _write_json(out / f"{stem}.json", report)
+    skipped.update(unfitted)
+    if len(unfitted) == len(jobs):
+        raise InsufficientDataError(
+            "no tail fit succeeded: "
+            + "; ".join(f"{stem}: {reason}" for stem, reason in unfitted.items())
+        )
 
 
 def _run_decay(cfg, outputs, out):
@@ -182,12 +199,19 @@ def _run_decay(cfg, outputs, out):
     outputs["decay.json"] = _write_json(out / "decay.json", report)
 
 
+def _write_manifest(out, manifest, skipped):
+    if skipped:
+        manifest["skipped"] = skipped
+    _write_json(out / "manifest.json", manifest)
+
+
 def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
     """Execute a task and write all outputs plus a hashed manifest."""
     task = task or cfg.task
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict = {}
+    skipped: dict = {}  # stage or output -> why it was not produced
     cache = {}  # (bc, cluster shape) -> spectrum, shared by every stage
 
     manifest = {"config": {**cfg.to_dict(), "task": task}, "outputs": outputs,
@@ -209,15 +233,15 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
             _run_verify(cfg, ensemble, grid, outputs, out, cache)
         if task in ("tails", "all"):
             if task == "all" and cfg.tail_mode == "analytic" and cfg.d != 1:
-                manifest["skipped"] = {"tails": ANALYTIC_TAILS_D1_ONLY}
+                skipped["tails"] = ANALYTIC_TAILS_D1_ONLY
             else:
-                _run_tails(cfg, ensemble, grid, outputs, out, cache)
+                _run_tails(cfg, ensemble, grid, outputs, out, cache, skipped)
         if task in ("decay", "all"):
             _run_decay(cfg, outputs, out)
     except (PerclapError, MemoryError) as exc:
         manifest["status"] = "failed"
         manifest["failure"] = str(exc)
-        _write_json(out / "manifest.json", manifest)
+        _write_manifest(out, manifest, skipped)
         raise
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, manifest, skipped)
     return manifest

@@ -10,6 +10,7 @@ diagonalization in the test suite before being trusted here.
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +85,8 @@ def ids_1d_series(p: float, energy: float, bc: BoundaryCondition, n_max: int | N
 
 
 def ids_1d_series_many(p, energies, bc, n_max=None) -> np.ndarray:
-    """Vectorized series; each energy gets its own truncation by default."""
+    """:func:`ids_1d_series` at each energy in turn; each energy gets its
+    own truncation by default."""
     energies = np.asarray(energies, dtype=np.float64)
     return np.array([ids_1d_series(p, float(e), bc, n_max) for e in energies])
 
@@ -141,8 +143,21 @@ def analytic_tail_fit(p: float, bc: BoundaryCondition, window,
     else:
         raise DomainError(f"edge must be 'lower' or 'upper', got {edge!r}")
     gaps = np.geomspace(lo, hi, n_points)
-    mass = ids_1d_series_many(p, gaps, series_bc)
+    mass = _series_mass(p, lo, hi, n_points, series_bc)
     return _fit_double_log(gaps, mass, bc, edge, window, TAIL_FLOOR_ANALYTIC)
+
+
+@lru_cache(maxsize=8)
+def _series_mass(p, lo, hi, n_points, series_bc) -> np.ndarray:
+    """The series on ``n_points`` log-spaced gaps in [lo, hi], read-only.
+
+    Cached because reflected fits share their data: the Dirichlet upper
+    edge evaluates the Neumann lower series, and the Pseudo-Dirichlet
+    upper edge the Pseudo-Dirichlet lower one.
+    """
+    mass = ids_1d_series_many(p, np.geomspace(lo, hi, n_points), series_bc)
+    mass.setflags(write=False)
+    return mass
 
 
 def fit_tail(ids: EmpiricalIDS, edge: str, window) -> TailFit:

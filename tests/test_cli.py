@@ -240,6 +240,32 @@ def test_skipped_analytic_tails_recorded(tmp_path):
     assert "skipped" not in run(config_from_dict({**MINIMAL, "task": "ids"}), tmp_path / "i")
 
 
+def test_mc_tails_on_supercritical_box_skip_unfittable_edges(tmp_path, capsys):
+    # the supercritical box's Neumann upper and Dirichlet lower edges, and
+    # both Pseudo-Dirichlet edges, hold too little mass for 8 points
+    data = {"d": 2, "L": 16, "p": 0.6, "seed": 1, "task": "tails", "tail_mode": "mc",
+            "tail_window": [1e-3, 1]}
+    out = tmp_path / "all_bcs"
+    assert main(["tails", "--config", _write(tmp_path, data), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert sorted(manifest["outputs"]) == ["tail_D_upper.json", "tail_N_lower.json"]
+    assert sorted(manifest["skipped"]) == [
+        "tail_D_lower", "tail_Dt_lower", "tail_Dt_upper", "tail_N_upper"]
+    assert all(r.startswith("insufficient data: only 0 usable points")
+               for r in manifest["skipped"].values())
+    assert sorted(p.name for p in out.glob("tail_*")) == sorted(manifest["outputs"])
+    # with no fit left the stage fails, and the manifest still names every edge
+    only_dt = _write(tmp_path, {**data, "boundary_conditions": ["Dt"]}, name="dt.json")
+    out = tmp_path / "dt"
+    assert main(["tails", "--config", only_dt, "--out", str(out)]) == 3
+    assert "numeric failure (insufficient data): no tail fit succeeded" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert sorted(manifest["skipped"]) == ["tail_Dt_lower", "tail_Dt_upper"]
+    assert manifest["outputs"] == {}
+
+
 def _cli_stderr(tmp_path, *flags):
     cfg = _write(tmp_path, {"d": 2, "L": 4, "p": 0.3, "task": "decay",
                             "decay_radius": 2, "decay_samples": 2000})

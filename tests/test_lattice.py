@@ -15,8 +15,9 @@ from perclap import (
     make_linear_cluster,
     sample_graph,
 )
+from perclap import kernels
 from perclap.kernels import derive_seed
-from perclap.lattice import graph_to_json_dict
+from perclap.lattice import Cluster, ShapeEnsemble, graph_to_json_dict
 
 
 def test_box_counts():
@@ -184,3 +185,123 @@ def test_cluster_partition_property(d, L, p, seed):
     assert sum(c.n_edges for c in cs) == g.n_open_edges
     roots = dfs_components(g.box.n_vertices, g.open_eu, g.open_ev)
     assert len(cs) == np.unique(roots).size
+
+
+def _reference_clusters(graph):
+    """Per-cluster split decomposition, the oracle for ``clusters``."""
+    box = graph.box
+    nv = box.n_vertices
+    eu, ev = graph.open_eu, graph.open_ev
+    roots = kernels.component_roots(nv, eu, ev)
+
+    order = np.argsort(roots, kind="stable")
+    sorted_roots = roots[order]
+    cuts = np.flatnonzero(np.diff(sorted_roots)) + 1
+    vertex_groups = np.split(order, cuts)
+
+    degrees_global = (
+        np.bincount(eu, minlength=nv) + np.bincount(ev, minlength=nv)
+    ).astype(np.int64)
+    coords_all = box.coords(np.arange(nv, dtype=np.int64))
+
+    edge_groups = {}
+    if eu.size:
+        eroots = roots[eu]
+        eorder = np.argsort(eroots, kind="stable")
+        seroots = eroots[eorder]
+        ecuts = np.flatnonzero(np.diff(seroots)) + 1
+        starts = np.concatenate(([0], ecuts))
+        for s, grp in zip(starts, np.split(eorder, ecuts)):
+            edge_groups[int(seroots[s])] = grp
+
+    out = []
+    empty = np.empty((0, 2), dtype=np.int64)
+    for verts in vertex_groups:
+        root = int(verts[0])
+        eg = edge_groups.get(root)
+        if eg is None:
+            edges = empty
+        else:
+            gu = np.searchsorted(verts, eu[eg])
+            gv = np.searchsorted(verts, ev[eg])
+            edges = np.column_stack((gu, gv))
+        out.append(
+            Cluster(box.d, verts, coords_all[verts], edges, degrees_global[verts])
+        )
+    return out
+
+
+# (d, L, p): a long d=1 chain, sub- and supercritical d=2 boxes, d=3 boxes
+# of even and odd side, and the degenerate sides and probabilities
+ORACLE_CASES = [
+    (1, 100_000, 0.3),
+    (2, 24, 0.3),
+    (2, 64, 0.6),
+    (3, 12, 0.3),
+    (3, 15, 0.3),
+    (1, 1, 0.5),
+    (2, 1, 0.5),
+    (2, 2, 0.5),
+    (3, 2, 0.7),
+    (2, 9, 0.0),
+    (2, 9, 1.0),
+    (3, 5, 1.0),
+]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES, ids=lambda c: "d%d-L%d-p%g" % c)
+def oracle_graph(request):
+    d, L, p = request.param
+    return sample_graph(LatticeBox(d, L), p, derive_seed(41, d * 1000 + L))
+
+
+def test_clusters_match_reference_decomposition(oracle_graph):
+    got, want = clusters(oracle_graph), _reference_clusters(oracle_graph)
+    assert len(got) == len(want)
+    for c, r in zip(got, want):
+        assert c.d == r.d
+        for name in ("vertices", "coords", "edges", "degrees"):
+            a, b = getattr(c, name), getattr(r, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+
+def test_cluster_arrays_are_read_only(oracle_graph):
+    cs = clusters(oracle_graph)
+    for c in cs[:50] + cs[-50:]:
+        for name in ("vertices", "coords", "edges", "degrees"):
+            a = getattr(c, name)
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[...] = 0
+    for c in ShapeEnsemble([oracle_graph]).shapes:
+        for name in ("vertices", "coords", "edges", "degrees"):
+            assert not getattr(c, name).flags.writeable, name
+
+
+def _first_seen_ids(keys):
+    ids = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def test_shape_ensemble_order_matches_canonical_grouping(oracle_graph):
+    reps = [oracle_graph,
+            sample_graph(oracle_graph.box, oracle_graph.p, derive_seed(43, 0))]
+    ensemble = ShapeEnsemble(reps)
+    cs = [c for g in reps for c in _reference_clusters(g)]
+    want = _first_seen_ids(c.canonical_key() for c in cs)
+    assert ensemble.order.tolist() == want
+    assert len(ensemble.shapes) == max(want) + 1
+    for sid, rep in enumerate(ensemble.shapes):
+        first = cs[want.index(sid)]
+        assert rep.canonical_key() == first.canonical_key()
+        assert np.array_equal(rep.vertices, first.vertices)
+        assert not np.shares_memory(rep.vertices, first.vertices)
+
+
+def test_shape_ensemble_merges_translates_across_box_sides():
+    graphs = [sample_graph(LatticeBox(2, L), 0.35, derive_seed(44, L)) for L in (5, 8, 13)]
+    ensemble = ShapeEnsemble(graphs)
+    keys = [c.canonical_key() for g in graphs for c in clusters(g)]
+    assert ensemble.order.tolist() == _first_seen_ids(keys)
+    assert len({c.canonical_key() for c in ensemble.shapes}) == len(ensemble.shapes)

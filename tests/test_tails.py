@@ -19,6 +19,7 @@ from perclap import (
 from perclap.kernels import component_roots, derive_seed, edge_open_mask
 from perclap.laplacian import ALL_BCS, DENSE_THRESHOLD, assemble
 from perclap.lattice import ShapeEnsemble
+from perclap import tails
 from perclap.tails import (
     _path_counts,
     analytic_tail_fit,
@@ -122,6 +123,20 @@ def test_analytic_tail_fit_upper_edge_identities():
         analytic_tail_fit(p, N, w, edge="upper")
     with pytest.raises(DomainError):
         analytic_tail_fit(p, N, w, edge="sideways")
+
+
+def test_reflected_analytic_fits_evaluate_each_series_once():
+    p, w, n = 0.3, (1e-6, 1e-3), 24
+    tails._series_mass.cache_clear()
+    fits = [analytic_tail_fit(p, bc, w, edge=edge, n_points=n)
+            for bc, edge in ((N, "lower"), (DT, "lower"), (D, "upper"), (DT, "upper"))]
+    info = tails._series_mass.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert fits[2].slope == fits[0].slope and fits[3].slope == fits[1].slope
+    for bc in (N, DT):
+        mass = tails._series_mass(p, *w, n, bc)
+        assert not mass.flags.writeable
+        assert np.array_equal(mass, ids_1d_series_many(p, np.geomspace(*w, n), bc))
 
 
 def test_fit_tail_on_empirical_ids():
