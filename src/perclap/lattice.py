@@ -8,6 +8,8 @@ keyed by (seed, edge index), making realizations independent of
 iteration order.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,24 +149,71 @@ class Cluster:
         return self._key
 
 
-# Cluster objects are built this many at a time, so that the Python lists
-# of slice bounds stay small next to the realization's arrays
-_CLUSTER_CHUNK = 4096
-
-
 def _readonly(*arrays):
     for a in arrays:
         a.setflags(write=False)
 
 
-def clusters(graph: PercolationGraph) -> list:
+class ClusterSequence(Sequence):
+    """The clusters of one realization, ordered by smallest vertex.
+
+    A read-only sequence over the arrays of the one-pass grouping:
+    ``order`` holds the vertices by component (ascending within one),
+    ``coords`` and ``degrees`` follow that order, and ``edges`` holds the
+    open edges in local indices, grouped by component.  Cluster i is
+    ``order[vbounds[i]:vbounds[i + 1]]`` with the edges
+    ``edges[ebounds[i]:ebounds[i + 1]]``.  A :class:`Cluster` of slices
+    is built only when one is indexed or iterated; a slice of the
+    sequence gives a list of them.
+    """
+
+    __slots__ = ("d", "order", "coords", "degrees", "edges", "vbounds", "ebounds")
+
+    def __init__(self, d, order, coords, degrees, edges, vbounds, ebounds):
+        _readonly(order, coords, degrees, edges, vbounds, ebounds)
+        self.d = d
+        self.order = order
+        self.coords = coords
+        self.degrees = degrees
+        self.edges = edges
+        self.vbounds = vbounds
+        self.ebounds = ebounds
+
+    def __len__(self):
+        return self.vbounds.size - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"cluster index {i} out of range for {n} clusters")
+        i %= n
+        s, t = self.vbounds[i:i + 2].tolist()
+        es, et = self.ebounds[i:i + 2].tolist()
+        return self._cluster(s, t, es, et)
+
+    def __iter__(self):
+        # memoryviews yield Python ints without materializing bound lists
+        vb, eb = memoryview(self.vbounds), memoryview(self.ebounds)
+        for s, t, es, et in zip(vb, vb[1:], eb, eb[1:]):
+            yield self._cluster(s, t, es, et)
+
+    def _cluster(self, s, t, es, et):
+        return Cluster(self.d, self.order[s:t], self.coords[s:t],
+                       self.edges[es:et], self.degrees[s:t])
+
+
+def clusters(graph: PercolationGraph) -> ClusterSequence:
     """Decompose a realization into clusters, ordered by smallest vertex.
 
     The whole realization is grouped in one sorted pass: vertices by
     component root (ascending within a component), their coordinates and
     degrees in that order, and the edges, in local indices, stably by
-    root.  Each cluster's arrays are slices of these four shared arrays,
-    which are read-only so that no cluster can write into another.
+    root.  The result is a :class:`ClusterSequence` over these read-only
+    arrays, so no cluster can write into another and none is built
+    until it is accessed.
     """
     box = graph.box
     nv = box.n_vertices
@@ -188,20 +237,10 @@ def clusters(graph: PercolationGraph) -> list:
     edges[:, 0] = local[eu[eorder]]
     edges[:, 1] = local[ev[eorder]]
     edge_counts = np.bincount(eroots, minlength=nv)[sorted_roots[starts]]
-    _readonly(order, coords, degrees, edges)
 
     vbounds = np.append(starts, nv)
     ebounds = np.concatenate(([0], np.cumsum(edge_counts)))
-    d = box.d
-    out = []
-    for lo in range(0, starts.size, _CLUSTER_CHUNK):
-        vb = vbounds[lo:lo + _CLUSTER_CHUNK + 1].tolist()
-        eb = ebounds[lo:lo + _CLUSTER_CHUNK + 1].tolist()
-        out.extend(
-            Cluster(d, order[s:t], coords[s:t], edges[es:et], degrees[s:t])
-            for s, t, es, et in zip(vb, vb[1:], eb, eb[1:])
-        )
-    return out
+    return ClusterSequence(box.d, order, coords, degrees, edges, vbounds, ebounds)
 
 
 class ShapeEnsemble:
@@ -210,20 +249,23 @@ class ShapeEnsemble:
     ``shapes`` holds one representative per ``canonical_key()`` in
     first-seen order, ``counts`` its multiplicity and ``order`` the shape
     id of every cluster in realization and cluster order.  Each
-    realization is decomposed once, and its cluster list dropped before
-    the next one is built.  A representative is a copy of the cluster
-    first seen, so it does not keep its realization's arrays alive.
+    realization is decomposed once by :func:`clusters`; only its compact
+    key material is kept, and no per-cluster :class:`Cluster` is built.
 
     Clusters are matched by a box-offset key, ``(L, vertices -
-    vertices[0], edges)``, which skips the per-cluster coordinate
-    arithmetic of ``canonical_key()``.  Within one box side L >= 2 it is
-    exact: the linear offset of every edge, ``vertices[v] - vertices[u]``,
-    is +-L**nu and so names the edge's axis nu, and walking the edges of
+    vertices[0], edges)``.  Within one box side L >= 2 it is exact: the
+    linear offset of every edge, ``vertices[v] - vertices[u]``, is
+    +-L**nu and so names the edge's axis nu, and walking the edges of
     the connected cluster then fixes every coordinate relative to vertex
     0.  Equal keys thus mean translates, and translates have equal
     offsets because linearization is linear.  (L = 1 has only isolated
-    vertices.)  Boxes of different sides are merged by computing
-    ``canonical_key()`` once per newly seen box-offset key.
+    vertices.)  The keys are compared in bulk over the whole ensemble:
+    clusters are grouped by ``(L, vertex count, edge count)``, and in
+    each group equal rows of ``[vertex offsets | local edges]`` are found
+    by a stable lexsort.  Each distinct key, in first-seen order, gets a
+    read-only representative rebuilt from its first cluster's key
+    material, and ``canonical_key()`` of it merges boxes of different
+    sides.
     """
 
     def __init__(self, graphs):
@@ -233,35 +275,88 @@ class ShapeEnsemble:
         self.d = graphs[0].box.d
         if any(g.box.d != self.d for g in graphs):
             raise DomainError("all graphs must share the lattice dimension")
-        by_offsets = {}  # box-offset key -> shape id
+        keys = _KeyMaterial([_key_columns(g.box, clusters(g)) for g in graphs])
+        firsts, head = keys.first_seen()
         by_canonical = {}  # canonical key -> shape id
         shapes = []
-        order = []
-        for g in graphs:
-            L = g.box.L
-            for c in clusters(g):
-                v = c.vertices
-                key = (L, (v - v[0]).tobytes(), c.edges.tobytes())
-                sid = by_offsets.get(key)
-                if sid is None:
-                    rep = _copy_cluster(c)
-                    sid = by_canonical.setdefault(rep.canonical_key(), len(shapes))
-                    if sid == len(shapes):
-                        shapes.append(rep)
-                    by_offsets[key] = sid
-                order.append(sid)
+        sids = np.empty(firsts.size, dtype=np.int64)
+        for k, c in enumerate(firsts.tolist()):
+            rep = keys.representative(self.d, c)
+            sids[k] = by_canonical.setdefault(rep.canonical_key(), len(shapes))
+            if sids[k] == len(shapes):
+                shapes.append(rep)
         self.shapes = shapes
-        self.order = np.array(order, dtype=np.int64)
+        self.order = sids[np.searchsorted(firsts, head)]
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
-        self.n_clusters = len(order)
+        self.n_clusters = self.order.size
         self.total_vertices = sum(g.box.n_vertices for g in graphs)
 
 
-def _copy_cluster(c: Cluster) -> Cluster:
-    """A read-only copy of ``c`` that shares no array with it."""
-    arrays = [a.copy() for a in (c.vertices, c.coords, c.edges, c.degrees)]
-    _readonly(*arrays)
-    return Cluster(c.d, *arrays)
+def _key_columns(box, seq):
+    """Per-cluster box side, first vertex, vertex and edge counts, and the
+    flat key rows of one realization: vertex offsets without the leading
+    0, and local edges."""
+    vb, eb = seq.vbounds, seq.ebounds
+    sizes = np.diff(vb)
+    first = seq.order[vb[:-1]]
+    rest = np.ones(seq.order.size, dtype=bool)
+    rest[vb[:-1]] = False
+    offsets = (seq.order - np.repeat(first, sizes))[rest]
+    side = np.full(sizes.size, box.L, dtype=np.int64)
+    return side, first, sizes, np.diff(eb), offsets, seq.edges.ravel()
+
+
+class _KeyMaterial:
+    """Box-offset keys of every cluster of an ensemble, in cluster order."""
+
+    def __init__(self, parts):
+        self.side, self.first, self.sizes, self.esizes, self.offsets, self.edges = (
+            np.concatenate(column) for column in zip(*parts))
+        self.ostart = np.cumsum(self.sizes - 1) - (self.sizes - 1)
+        self.estart = 2 * (np.cumsum(self.esizes) - self.esizes)
+
+    def rows(self, members, n, ne):
+        """Key rows ``[offsets | edges]`` of clusters with n vertices, ne edges."""
+        vcols = self.offsets[self.ostart[members, None] + np.arange(n - 1)]
+        ecols = self.edges[self.estart[members, None] + np.arange(2 * ne)]
+        return np.concatenate((vcols, ecols), axis=1)
+
+    def first_seen(self):
+        """Clusters that first show their key, ascending, and for every
+        cluster the first cluster with its key."""
+        n = self.sizes.size
+        head = np.arange(n, dtype=np.int64)
+        by_group = np.lexsort((self.esizes, self.sizes, self.side))
+        g_side, g_n, g_ne = (a[by_group] for a in (self.side, self.sizes, self.esizes))
+        cut = np.flatnonzero((g_side[1:] != g_side[:-1]) | (g_n[1:] != g_n[:-1])
+                             | (g_ne[1:] != g_ne[:-1])) + 1
+        bounds = np.concatenate(([0], cut, [n])).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo < 2:
+                continue
+            members = by_group[lo:hi]  # ascending: the lexsort is stable
+            rows = self.rows(members, int(g_n[lo]), int(g_ne[lo]))
+            if rows.shape[1] == 0:
+                head[members] = members[0]
+                continue
+            idx = np.lexsort(rows.T)
+            ranked = rows[idx]
+            new = np.ones(idx.size, dtype=bool)
+            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            run = np.cumsum(new) - 1
+            head[members[idx]] = members[idx[new]][run]
+        return np.flatnonzero(head == np.arange(n)), head
+
+    def representative(self, d, c):
+        """A read-only Cluster rebuilt from the key material of cluster c."""
+        n, ne = int(self.sizes[c]), int(self.esizes[c])
+        offsets = self.offsets[self.ostart[c]:self.ostart[c] + n - 1]
+        vertices = np.concatenate(([0], offsets)) + self.first[c]
+        edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).copy()
+        coords = LatticeBox(d, int(self.side[c])).coords(vertices)
+        degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
+        _readonly(vertices, coords, edges, degrees)
+        return Cluster(d, vertices, coords, edges, degrees)
 
 
 def _cluster_from_coords(d, coords, edge_pairs):

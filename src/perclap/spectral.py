@@ -309,8 +309,12 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
 
 
 def zero_mode_density(graphs, tol: float | None = None) -> float:
-    """Density of Neumann zero modes; equals (#clusters)/(total vertices)."""
-    ensemble = ShapeEnsemble(graphs)
+    """Density of Neumann zero modes; equals (#clusters)/(total vertices).
+
+    ``graphs`` are realizations of one dimension or their
+    :class:`ShapeEnsemble`.
+    """
+    ensemble = graphs if isinstance(graphs, ShapeEnsemble) else ShapeEnsemble(graphs)
     if tol is None:
         tol = zero_tolerance(ensemble.d)
     if tol <= 0:

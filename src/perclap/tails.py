@@ -58,8 +58,11 @@ def _path_counts(energy: float, n: np.ndarray, bc: BoundaryCondition) -> np.ndar
 
 def ids_1d_series(p: float, energy: float, bc: BoundaryCondition, n_max: int | None = None) -> float:
     """N_X(E) - N_X(0) for d=1, exact up to the geometric truncation."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"bond probability must be in (0,1), got {p}")
+    return float(ids_1d_series_many(p, [energy], bc, n_max)[0])
+
+
+def _series_truncation_checked(p, energy, n_max):
+    """The truncation at ``energy``, or the error that forbids the series."""
     if not 0.0 < energy <= 4.0:
         raise DomainError(f"energy must be in (0,4], got {energy}")
     if n_max is None:
@@ -79,16 +82,25 @@ def ids_1d_series(p: float, energy: float, bc: BoundaryCondition, n_max: int | N
             f"truncation n_max={n_max} misses paths contributing at E={energy}; "
             f"need >= {4.0 * math.pi / math.sqrt(energy):.0f}"
         )
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    weights = (1.0 - p) ** 2 * p ** (n - 1.0)
-    return float(np.dot(weights, _path_counts(energy, n, bc)))
+    return n_max
 
 
 def ids_1d_series_many(p, energies, bc, n_max=None) -> np.ndarray:
-    """:func:`ids_1d_series` at each energy in turn; each energy gets its
-    own truncation by default."""
-    energies = np.asarray(energies, dtype=np.float64)
-    return np.array([ids_1d_series(p, float(e), bc, n_max) for e in energies])
+    """:func:`ids_1d_series` at each energy; each energy gets its own
+    truncation by default.
+
+    The path weights (1-p)^2 p^(n-1) are computed once, up to the largest
+    truncation, and each energy sums the first ``n_max`` of them.
+    """
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"bond probability must be in (0,1), got {p}")
+    energies = np.asarray(energies, dtype=np.float64).tolist()
+    n_maxes = [_series_truncation_checked(p, e, n_max) for e in energies]
+    n = np.arange(1, max(n_maxes, default=0) + 1, dtype=np.float64)
+    weights = (1.0 - p) ** 2 * p ** (n - 1.0)
+    return np.array([
+        np.dot(weights[:m], _path_counts(e, n[:m], bc)) for e, m in zip(energies, n_maxes)
+    ], dtype=np.float64)
 
 
 @dataclass(frozen=True)

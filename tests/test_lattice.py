@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dfs_components
@@ -255,15 +255,47 @@ def oracle_graph(request):
     return sample_graph(LatticeBox(d, L), p, derive_seed(41, d * 1000 + L))
 
 
+def _assert_same_cluster(c, r):
+    assert c.d == r.d
+    for name in ("vertices", "coords", "edges", "degrees"):
+        a, b = getattr(c, name), getattr(r, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
 def test_clusters_match_reference_decomposition(oracle_graph):
     got, want = clusters(oracle_graph), _reference_clusters(oracle_graph)
     assert len(got) == len(want)
     for c, r in zip(got, want):
-        assert c.d == r.d
-        for name in ("vertices", "coords", "edges", "degrees"):
-            a, b = getattr(c, name), getattr(r, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert np.array_equal(a, b), name
+        _assert_same_cluster(c, r)
+
+
+def test_cluster_sequence_indexing_matches_reference(oracle_graph):
+    seq, want = clusters(oracle_graph), _reference_clusters(oracle_graph)
+    n = len(want)
+    assert len(seq) == n
+    for i in sorted({0, 1, n // 2, n - 2, n - 1} & set(range(n))):
+        _assert_same_cluster(seq[i], want[i])
+        _assert_same_cluster(seq[i - n], want[i])
+        _assert_same_cluster(seq[np.int64(i)], want[i])
+    _assert_same_cluster(seq[-1], want[-1])
+    step = max(1, n // 7)
+    for part in (slice(None, 3), slice(-3, None), slice(1, None, step),
+                 slice(None, None, -step), slice(n, None)):
+        got = seq[part]
+        assert isinstance(got, list) and len(got) == len(want[part])
+        for c, r in zip(got, want[part]):
+            _assert_same_cluster(c, r)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+    with pytest.raises(TypeError):
+        seq[1.0]
+    for name in ("order", "coords", "degrees", "edges", "vbounds", "ebounds"):
+        a = getattr(seq, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_cluster_arrays_are_read_only(oracle_graph):
@@ -305,3 +337,53 @@ def test_shape_ensemble_merges_translates_across_box_sides():
     keys = [c.canonical_key() for g in graphs for c in clusters(g)]
     assert ensemble.order.tolist() == _first_seen_ids(keys)
     assert len({c.canonical_key() for c in ensemble.shapes}) == len(ensemble.shapes)
+
+
+def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
+    graphs = [sample_graph(LatticeBox(1, 100_000), 0.3, derive_seed(7, i)) for i in range(2)]
+    built = []
+    init = Cluster.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Cluster, "__init__", counting)
+    ensemble = ShapeEnsemble(graphs)
+    n_built = len(built)
+    keys = {(c.vertices - c.vertices[0]).tobytes() + c.edges.tobytes()
+            for g in graphs for c in _reference_clusters(g)}
+    assert ensemble.n_clusters > 100_000
+    assert n_built <= len(keys) == len(ensemble.shapes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12),
+                  st.floats(min_value=0.0, max_value=1.0),
+                  st.integers(min_value=0, max_value=2**32)),
+        min_size=1, max_size=4,
+    ),
+)
+@example(2, [(5, 0.3, 1), (8, 0.3, 2), (1, 0.5, 3)])
+@example(3, [(2, 0.0, 4), (2, 1.0, 5)])
+@example(3, [(2, 0.3, 1), (4, 0.3, 2)])
+def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realizations):
+    """Mixed box sides in one ensemble, p from 0 to 1: groups of one
+    member, zero-edge groups, and equal offsets in boxes of different
+    sides all reach the bulk key.  Isolated vertices have equal offsets
+    in every box; a z-pair of the side-2 box and a y-pair of the side-4
+    box both have the key row [4 | 0 1] but are different shapes."""
+    graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
+    ensemble = ShapeEnsemble(graphs)
+    cs = [c for g in graphs for c in _reference_clusters(g)]
+    want = _first_seen_ids(c.canonical_key() for c in cs)
+    assert ensemble.order.tolist() == want
+    assert ensemble.counts.tolist() == np.bincount(want).tolist()
+    assert ensemble.n_clusters == len(cs)
+    assert ensemble.total_vertices == sum(g.box.n_vertices for g in graphs)
+    assert len(ensemble.shapes) == max(want) + 1
+    for sid, rep in enumerate(ensemble.shapes):
+        _assert_same_cluster(rep, cs[want.index(sid)])

@@ -300,6 +300,7 @@ def test_zero_mode_density_equals_cluster_density(small_ensemble):
         rho = zero_mode_density([g])
         n_clusters = len(clusters(g))
         assert rho == pytest.approx(n_clusters / g.box.n_vertices, abs=1e-15)
+        assert zero_mode_density(ShapeEnsemble([g])) == rho
 
 
 def test_summarize_gap_selection():

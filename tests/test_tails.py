@@ -19,6 +19,7 @@ from perclap import (
 from perclap.kernels import component_roots, derive_seed, edge_open_mask
 from perclap.laplacian import ALL_BCS, DENSE_THRESHOLD, assemble
 from perclap.lattice import ShapeEnsemble
+from perclap.spectral import default_grid
 from perclap import tails
 from perclap.tails import (
     _path_counts,
@@ -92,6 +93,33 @@ def test_series_domain_and_precision_guards():
         ids_1d_series(0.3, 1.0, N, n_max=5)  # weight tail too heavy
     with pytest.raises(PrecisionError):
         ids_1d_series(0.3, 1e-6, N, n_max=40)  # misses contributing paths
+
+
+def _reference_series(p, energy, bc):
+    """The per-energy series body, the oracle for ``ids_1d_series_many``."""
+    n_max = series_truncation(p, energy)
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    weights = (1.0 - p) ** 2 * p ** (n - 1.0)
+    return float(np.dot(weights, _path_counts(energy, n, bc)))
+
+
+D1_TAIL_WINDOW = np.geomspace(1e-8, 1e-3, 96)  # the d1_paths analytic tail window
+D1_GRID = default_grid(1)[default_grid(1) > 0]  # as test_07 evaluates it
+
+
+@pytest.mark.parametrize("p, energies", [
+    (0.1, D1_TAIL_WINDOW),
+    (0.3, D1_TAIL_WINDOW),
+    (0.6, D1_TAIL_WINDOW),
+    (0.3, D1_GRID),
+], ids=["window-0.1", "window-0.3", "window-0.6", "grid-0.3"])
+def test_series_shared_weights_equal_per_energy_body(p, energies):
+    """Weights computed once at the largest truncation give the same
+    bytes as the per-energy body."""
+    for bc in (N, DT):
+        want = [_reference_series(p, float(e), bc) for e in energies]
+        assert ids_1d_series_many(p, energies, bc).tolist() == want, bc
+        assert ids_1d_series(p, float(energies[-1]), bc) == want[-1]
 
 
 def test_series_truncation_covers_both_tails():
