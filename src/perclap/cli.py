@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Usage: perclap <task> --config <file> [--out <dir>] [--threads <n>]
-                [--emit-graph] [-v/--log-level <level>]
+Usage: perclap <task> --config <file> [--out <dir>] [--emit-graph]
+                [-v/--log-level <level>]
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure; the
 exit-3 message names the kind, e.g. ``numeric failure (domain): ...``.
@@ -27,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and validated; has no effect")
     parser.add_argument("--emit-graph", action="store_true",
                         help="dump each sampled realization as JSON")
     parser.add_argument("-v", "--log-level", default="WARNING", type=str.upper,
@@ -42,8 +40,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = parse_config(args.config)
-        if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=args.threads)
         if args.emit_graph:
             cfg = dataclasses.replace(cfg, emit_graph=True)
         problems = validate(cfg)

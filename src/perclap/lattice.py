@@ -252,20 +252,12 @@ class ShapeEnsemble:
     realization is decomposed once by :func:`clusters`; only its compact
     key material is kept, and no per-cluster :class:`Cluster` is built.
 
-    Clusters are matched by a box-offset key, ``(L, vertices -
-    vertices[0], edges)``.  Within one box side L >= 2 it is exact: the
-    linear offset of every edge, ``vertices[v] - vertices[u]``, is
-    +-L**nu and so names the edge's axis nu, and walking the edges of
-    the connected cluster then fixes every coordinate relative to vertex
-    0.  Equal keys thus mean translates, and translates have equal
-    offsets because linearization is linear.  (L = 1 has only isolated
-    vertices.)  The keys are compared in bulk over the whole ensemble:
-    clusters are grouped by ``(L, vertex count, edge count)``, and in
-    each group equal rows of ``[vertex offsets | local edges]`` are found
-    by a stable lexsort.  Each distinct key, in first-seen order, gets a
-    read-only representative rebuilt from its first cluster's key
-    material, and ``canonical_key()`` of it merges boxes of different
-    sides.
+    The keys are compared in bulk over the whole ensemble, on the values
+    that ``canonical_key()`` hashes: clusters are grouped by vertex and
+    edge count, and in each group equal rows of ``[coordinates minus
+    their per-axis minimum | local edges]`` are found by a stable
+    lexsort.  Each distinct key, in first-seen order, gets a read-only
+    representative rebuilt from its first cluster's key material.
     """
 
     def __init__(self, graphs):
@@ -275,70 +267,62 @@ class ShapeEnsemble:
         self.d = graphs[0].box.d
         if any(g.box.d != self.d for g in graphs):
             raise DomainError("all graphs must share the lattice dimension")
-        keys = _KeyMaterial([_key_columns(g.box, clusters(g)) for g in graphs])
+        keys = _KeyMaterial(self.d, [_key_columns(g.box, clusters(g)) for g in graphs])
         firsts, head = keys.first_seen()
-        by_canonical = {}  # canonical key -> shape id
-        shapes = []
-        sids = np.empty(firsts.size, dtype=np.int64)
-        for k, c in enumerate(firsts.tolist()):
-            rep = keys.representative(self.d, c)
-            sids[k] = by_canonical.setdefault(rep.canonical_key(), len(shapes))
-            if sids[k] == len(shapes):
-                shapes.append(rep)
-        self.shapes = shapes
-        self.order = sids[np.searchsorted(firsts, head)]
+        self.shapes = [keys.representative(c) for c in firsts.tolist()]
+        self.order = np.searchsorted(firsts, head)
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
         self.n_clusters = self.order.size
         self.total_vertices = sum(g.box.n_vertices for g in graphs)
 
 
 def _key_columns(box, seq):
-    """Per-cluster box side, first vertex, vertex and edge counts, and the
-    flat key rows of one realization: vertex offsets without the leading
-    0, and local edges."""
-    vb, eb = seq.vbounds, seq.ebounds
-    sizes = np.diff(vb)
-    first = seq.order[vb[:-1]]
-    rest = np.ones(seq.order.size, dtype=bool)
-    rest[vb[:-1]] = False
-    offsets = (seq.order - np.repeat(first, sizes))[rest]
+    """Per-cluster box side, vertex and edge counts, and the flat vertices
+    and local edges of one realization."""
+    sizes = np.diff(seq.vbounds)
     side = np.full(sizes.size, box.L, dtype=np.int64)
-    return side, first, sizes, np.diff(eb), offsets, seq.edges.ravel()
+    return side, sizes, np.diff(seq.ebounds), seq.order, seq.edges.ravel()
 
 
 class _KeyMaterial:
-    """Box-offset keys of every cluster of an ensemble, in cluster order."""
+    """Global vertices, box side and local edges of every cluster of an
+    ensemble, in cluster order: what ``canonical_key()`` is made of."""
 
-    def __init__(self, parts):
-        self.side, self.first, self.sizes, self.esizes, self.offsets, self.edges = (
+    def __init__(self, d, parts):
+        self.d = d
+        self.side, self.sizes, self.esizes, self.vertices, self.edges = (
             np.concatenate(column) for column in zip(*parts))
-        self.ostart = np.cumsum(self.sizes - 1) - (self.sizes - 1)
+        self.vstart = np.cumsum(self.sizes) - self.sizes
         self.estart = 2 * (np.cumsum(self.esizes) - self.esizes)
 
     def rows(self, members, n, ne):
-        """Key rows ``[offsets | edges]`` of clusters with n vertices, ne edges."""
-        vcols = self.offsets[self.ostart[members, None] + np.arange(n - 1)]
+        """Key rows ``[shifted coords | edges]`` of clusters with n
+        vertices and ne edges."""
+        vertices = self.vertices[self.vstart[members, None] + np.arange(n)]
+        side = self.side[members, None, None]
+        coords = vertices[..., None] // side ** np.arange(self.d) % side
+        shifted = (coords - coords.min(axis=1, keepdims=True)).reshape(members.size, -1)
         ecols = self.edges[self.estart[members, None] + np.arange(2 * ne)]
-        return np.concatenate((vcols, ecols), axis=1)
+        return np.concatenate((shifted, ecols), axis=1)
 
     def first_seen(self):
         """Clusters that first show their key, ascending, and for every
         cluster the first cluster with its key."""
         n = self.sizes.size
         head = np.arange(n, dtype=np.int64)
-        by_group = np.lexsort((self.esizes, self.sizes, self.side))
-        g_side, g_n, g_ne = (a[by_group] for a in (self.side, self.sizes, self.esizes))
-        cut = np.flatnonzero((g_side[1:] != g_side[:-1]) | (g_n[1:] != g_n[:-1])
-                             | (g_ne[1:] != g_ne[:-1])) + 1
+        by_group = np.lexsort((self.esizes, self.sizes))
+        g_n, g_ne = self.sizes[by_group], self.esizes[by_group]
+        cut = np.flatnonzero((g_n[1:] != g_n[:-1]) | (g_ne[1:] != g_ne[:-1])) + 1
         bounds = np.concatenate(([0], cut, [n])).tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             if hi - lo < 2:
                 continue
             members = by_group[lo:hi]  # ascending: the lexsort is stable
-            rows = self.rows(members, int(g_n[lo]), int(g_ne[lo]))
-            if rows.shape[1] == 0:
+            size = int(g_n[lo])
+            if size == 1:  # isolated vertices are all one shape
                 head[members] = members[0]
                 continue
+            rows = self.rows(members, size, int(g_ne[lo]))
             idx = np.lexsort(rows.T)
             ranked = rows[idx]
             new = np.ones(idx.size, dtype=bool)
@@ -347,16 +331,15 @@ class _KeyMaterial:
             head[members[idx]] = members[idx[new]][run]
         return np.flatnonzero(head == np.arange(n)), head
 
-    def representative(self, d, c):
+    def representative(self, c):
         """A read-only Cluster rebuilt from the key material of cluster c."""
         n, ne = int(self.sizes[c]), int(self.esizes[c])
-        offsets = self.offsets[self.ostart[c]:self.ostart[c] + n - 1]
-        vertices = np.concatenate(([0], offsets)) + self.first[c]
+        vertices = self.vertices[self.vstart[c]:self.vstart[c] + n].copy()
         edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).copy()
-        coords = LatticeBox(d, int(self.side[c])).coords(vertices)
+        coords = LatticeBox(self.d, int(self.side[c])).coords(vertices)
         degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
         _readonly(vertices, coords, edges, degrees)
-        return Cluster(d, vertices, coords, edges, degrees)
+        return Cluster(self.d, vertices, coords, edges, degrees)
 
 
 def _cluster_from_coords(d, coords, edge_pairs):

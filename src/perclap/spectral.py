@@ -239,6 +239,7 @@ class EmpiricalIDS:
     """
 
     bc: BoundaryCondition
+    d: int
     total_vertices: int
     eigenvalues: np.ndarray  # sorted pool, weight 1/total_vertices each
     grid: np.ndarray
@@ -249,7 +250,7 @@ class EmpiricalIDS:
 
     def evaluate(self, E) -> np.ndarray:
         E = np.asarray(E, dtype=np.float64)
-        snap = ATOM_TOL_FACTOR * float(self.grid[-1])
+        snap = ATOM_TOL_FACTOR * 4 * self.d
         counts = np.searchsorted(self.eigenvalues, E + snap, side="right").astype(np.float64)
         if self.extra_grid_counts is not None:
             pos = np.searchsorted(self.grid, E, side="right") - 1
@@ -298,6 +299,7 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
 
     return EmpiricalIDS(
         bc=bc,
+        d=ensemble.d,
         total_vertices=ensemble.total_vertices,
         eigenvalues=pooled,
         grid=grid,
@@ -319,8 +321,6 @@ def zero_mode_density(graphs, tol: float | None = None) -> float:
         tol = zero_tolerance(ensemble.d)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    # a giant shape's zero mode is in the grid counts, not in ids.eigenvalues;
-    # the grid ends at 4d, which sets the snap tolerance of evaluate
-    grid = np.unique([tol, 4.0 * ensemble.d])
-    ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN, grid=grid)
+    # a giant shape's zero mode is in the grid counts, not in ids.eigenvalues
+    ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN, grid=[tol])
     return float(ids.evaluate(tol))

@@ -19,7 +19,7 @@ from .config import MAX_ARRAY_ITEMS
 from .exceptions import DomainError, InsufficientDataError, PrecisionError, UnsupportedSizeError
 from .laplacian import BoundaryCondition
 from .lattice import LatticeBox
-from .spectral import EmpiricalIDS
+from .spectral import EmpiricalIDS, zero_tolerance
 
 logger = logging.getLogger(__name__)
 
@@ -175,9 +175,9 @@ def _series_mass(p, lo, hi, n_points, series_bc) -> np.ndarray:
 def fit_tail(ids: EmpiricalIDS, edge: str, window) -> TailFit:
     """Tail exponent fit on an empirical IDS (grid points in the window)."""
     lo, hi = window
-    width = float(ids.grid[-1])
+    width = 4 * ids.d
     floor = 10.0 / ids.total_vertices
-    zero_tol = 1e-9 * width
+    zero_tol = zero_tolerance(ids.d)
     if edge == "lower":
         sel = (ids.grid >= lo) & (ids.grid <= hi)
         gaps = ids.grid[sel]

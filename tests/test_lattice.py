@@ -339,6 +339,21 @@ def test_shape_ensemble_merges_translates_across_box_sides():
     assert len({c.canonical_key() for c in ensemble.shapes}) == len(ensemble.shapes)
 
 
+def test_shape_ensemble_never_calls_canonical_key(monkeypatch):
+    graphs = [sample_graph(LatticeBox(2, L), 0.35, derive_seed(44, L)) for L in (5, 8, 13)]
+    calls = []
+    key = Cluster.canonical_key
+
+    def counting(self):
+        calls.append(1)
+        return key(self)
+
+    monkeypatch.setattr(Cluster, "canonical_key", counting)
+    ensemble = ShapeEnsemble(graphs)
+    assert len(ensemble.shapes) > 1
+    assert len(calls) == 0
+
+
 def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
     graphs = [sample_graph(LatticeBox(1, 100_000), 0.3, derive_seed(7, i)) for i in range(2)]
     built = []
@@ -351,8 +366,7 @@ def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
     monkeypatch.setattr(Cluster, "__init__", counting)
     ensemble = ShapeEnsemble(graphs)
     n_built = len(built)
-    keys = {(c.vertices - c.vertices[0]).tobytes() + c.edges.tobytes()
-            for g in graphs for c in _reference_clusters(g)}
+    keys = {c.canonical_key() for g in graphs for c in _reference_clusters(g)}
     assert ensemble.n_clusters > 100_000
     assert n_built <= len(keys) == len(ensemble.shapes)
 
@@ -372,10 +386,10 @@ def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
 @example(3, [(2, 0.3, 1), (4, 0.3, 2)])
 def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realizations):
     """Mixed box sides in one ensemble, p from 0 to 1: groups of one
-    member, zero-edge groups, and equal offsets in boxes of different
-    sides all reach the bulk key.  Isolated vertices have equal offsets
-    in every box; a z-pair of the side-2 box and a y-pair of the side-4
-    box both have the key row [4 | 0 1] but are different shapes."""
+    member, isolated vertices, and one shape in boxes of different sides
+    all reach the bulk key.  A z-pair of the side-2 box and a y-pair of
+    the side-4 box both have vertex offset 4 and edge [0 1], but their
+    shifted coordinates differ, so they are different shapes."""
     graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
     ensemble = ShapeEnsemble(graphs)
     cs = [c for g in graphs for c in _reference_clusters(g)]

@@ -205,6 +205,29 @@ def test_fit_tail_upper_edges_count_giant_cluster():
     assert dt_upper.slope == pytest.approx(dt_lower.slope, rel=1e-9)
 
 
+@pytest.fixture(scope="module")
+def d2_dirichlet_ids():
+    """Dirichlet IDS of a d=2, L=24, p=0.3 ensemble (50 realizations) on a
+    given grid, sharing one spectrum cache."""
+    graphs = [sample_graph(LatticeBox(2, 24), 0.3, derive_seed(11, i)) for i in range(50)]
+    ensemble, cache = ShapeEnsemble(graphs), {}
+    return lambda grid: empirical_ids(ensemble, D, grid=grid, cache=cache)
+
+
+def test_fit_tail_upper_edge_ignores_grid_endpoint(d2_dirichlet_ids):
+    """The upper edge is 4d, not the last grid energy."""
+    grid, window = default_grid(2), (1e-3, 1.0)
+    full = fit_tail(d2_dirichlet_ids(grid), "upper", window)
+    assert fit_tail(d2_dirichlet_ids(grid[:-1]), "upper", window) == full
+
+
+def test_fit_tail_upper_edge_needs_grid_near_4d(d2_dirichlet_ids):
+    """A grid that stops at E = 6 has no energy within 1 of the edge 8."""
+    grid = default_grid(2)
+    with pytest.raises(InsufficientDataError):
+        fit_tail(d2_dirichlet_ids(grid[grid <= 6.0]), "upper", (1e-3, 1.0))
+
+
 def test_fit_tail_insufficient_data():
     g = sample_graph(LatticeBox(1, 100), 0.3, derive_seed(93, 0))
     ids = empirical_ids([g], N)
