@@ -12,11 +12,9 @@ from .exceptions import (
     UnsupportedSizeError,
 )
 from .isoperimetry import (
-    check_cheeger,
-    check_crude_cheeger,
     cheeger_constant,
+    check_shape,
     cubic_bound_check,
-    estimate_fk_constant,
     fk_ratio,
     linear_bound_check,
 )
@@ -33,12 +31,10 @@ from .lattice import (
 from .runner import run
 from .spectral import (
     EmpiricalIDS,
-    chain_check,
     count_leq,
     default_grid,
     eigenvalues,
     empirical_ids,
-    reflection_check,
     zero_mode_density,
 )
 from .tails import analytic_tail_fit, cluster_size_decay, fit_tail, ids_1d_series

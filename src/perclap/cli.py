@@ -12,7 +12,7 @@ import dataclasses
 import logging
 import sys
 
-from .config import TASKS, parse_config, validate
+from .config import TASKS, parse_config
 from .exceptions import ConfigurationError, PerclapError
 from .runner import run
 
@@ -42,9 +42,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.emit_graph:
             cfg = dataclasses.replace(cfg, emit_graph=True)
-        problems = validate(cfg)
-        if problems:
-            raise ConfigurationError("; ".join(problems))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -43,23 +43,12 @@ class ExperimentConfig:
     emit_graph: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "d": self.d,
-            "L": self.L,
-            "p": self.p,
-            "realizations": self.realizations,
-            "seed": self.seed,
-            "boundary_conditions": list(self.boundary_conditions),
-            "grid_points": self.grid_points,
-            "grid_refine": self.grid_refine,
-            "tail_mode": self.tail_mode,
-            "tail_window": list(self.tail_window),
-            "decay_samples": self.decay_samples,
-            "decay_radius": self.decay_radius,
-            "threads": self.threads,
-            "emit_graph": self.emit_graph,
-        }
+        """Every field by name, tuples as lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}

@@ -13,10 +13,22 @@ from . import kernels
 from .exceptions import DomainError, UnsupportedSizeError
 from .laplacian import ALL_BCS, BoundaryCondition
 from .lattice import Cluster, make_cubic_cluster, make_linear_cluster
-from .spectral import cluster_eigenvalues, cluster_spectra, lowest_nonzero, summarize
+from .spectral import (
+    chain_holds,
+    cluster_eigenvalues,
+    cluster_spectra,
+    lowest_nonzero,
+    range_violations,
+    reflection_deviation,
+    summarize,
+    zero_tolerance,
+)
 
 EXHAUSTIVE_CUTOFF = 20
 MARGIN_TOL = 1e-12  # a bound margin below -MARGIN_TOL is a violation
+REFLECTION_TOL = 1e-9  # entrywise |spec(D) - (4d - spec(N))|
+REFLECTION_MAX_VERTICES = 500  # the reflection is checked up to this size
+VIOLATION_KINDS = ("reflection", "chain", "cheeger", "crude", "range")
 
 
 def cheeger_constant(cluster: Cluster) -> Fraction:
@@ -32,10 +44,6 @@ def cheeger_constant(cluster: Cluster) -> Fraction:
     return Fraction(b, w)
 
 
-def lowest_nonzero_neumann(cluster: Cluster) -> float:
-    return summarize(cluster, BoundaryCondition.NEUMANN).lowest_nonzero
-
-
 def cheeger_margin(e1_n: float, h: Fraction, d: int) -> float:
     """Margin of E1_N >= h_Ch^2 / (4d); nonnegative when the bound holds."""
     return e1_n - float(h * h) / (4 * d)
@@ -44,20 +52,6 @@ def cheeger_margin(e1_n: float, h: Fraction, d: int) -> float:
 def crude_margin(e1_n: float, n: int, d: int) -> float:
     """Margin of E1_N >= 1/(d |V|^2); valid for clusters of any size."""
     return e1_n - 1.0 / (d * n * n)
-
-
-def check_cheeger(cluster: Cluster) -> float:
-    """Cheeger margin of one cluster of at most EXHAUSTIVE_CUTOFF vertices."""
-    h = cheeger_constant(cluster)
-    return cheeger_margin(lowest_nonzero_neumann(cluster), h, cluster.d)
-
-
-def check_crude_cheeger(cluster: Cluster) -> float:
-    """Crude-gap margin of one cluster of at least 2 vertices."""
-    n = cluster.n_vertices
-    if n < 2:
-        raise DomainError("crude Cheeger bound needs at least 2 vertices")
-    return crude_margin(lowest_nonzero_neumann(cluster), n, cluster.d)
 
 
 def fk_ratio(cluster: Cluster, spectra=None) -> float:
@@ -74,17 +68,9 @@ def fk_ratio(cluster: Cluster, spectra=None) -> float:
     return lowest_nonzero(eigs, bc) * n ** (2.0 / cluster.d)
 
 
-def estimate_fk_constant(cluster_list) -> float:
-    """Empirical lower bound for the Faber-Krahn constant of a population."""
-    ratios = [fk_ratio(c) for c in cluster_list if c.n_vertices >= 2]
-    if not ratios:
-        raise DomainError("no clusters with at least 2 vertices supplied")
-    return min(ratios)
-
-
 def linear_bound_check(n: int, d: int) -> float:
     """Margin of E1_N(path of n) <= 12/n^2."""
-    e1 = lowest_nonzero_neumann(make_linear_cluster(n, d))
+    e1 = summarize(make_linear_cluster(n, d), BoundaryCondition.NEUMANN).lowest_nonzero
     return 12.0 / (n * n) - e1
 
 
@@ -144,3 +130,33 @@ def report_cluster(cluster: Cluster, spectra=None) -> IsoperimetryReport:
         crude_margin=crude_margin(e1_n, n, d),
         fk_ratio=fk_ratio(cluster, spectra),
     )
+
+
+def check_shape(cluster: Cluster, grid, spectra=None):
+    """Verify's verdict on one cluster: ``(counts, report)``.
+
+    ``counts`` maps each of :data:`VIOLATION_KINDS` to the cluster's
+    violations: ``range`` counts the boundary conditions with an
+    eigenvalue outside [-tol, 4d + tol], tol = ``zero_tolerance(d)``;
+    every other kind is 0 or 1.  The reflection is checked up to
+    :data:`REFLECTION_MAX_VERTICES` vertices, the chain at every energy
+    of ``grid``.  ``report`` is the :class:`IsoperimetryReport` that
+    ``cheeger`` and ``crude`` are read from, or None for a single
+    vertex.  ``spectra`` are the cluster's spectra from
+    :func:`cluster_spectra`; without them they are looked up in the
+    default cache.
+    """
+    n, d = cluster.n_vertices, cluster.d
+    if spectra is None:
+        spectra = cluster_spectra(cluster)
+    counts = dict.fromkeys(VIOLATION_KINDS, 0)
+    counts["range"] = range_violations(spectra, d, zero_tolerance(d))
+    counts["reflection"] = int(n <= REFLECTION_MAX_VERTICES
+                               and reflection_deviation(spectra, d) > REFLECTION_TOL)
+    counts["chain"] = int(not chain_holds(spectra, grid))
+    if n < 2:
+        return counts, None
+    report = report_cluster(cluster, spectra)
+    counts["cheeger"] = int(report.cheeger_violated)
+    counts["crude"] = int(report.crude_violated)
+    return counts, report

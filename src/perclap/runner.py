@@ -14,23 +14,12 @@ from pathlib import Path
 from . import kernels
 from .config import ExperimentConfig
 from .exceptions import DomainError, InsufficientDataError, PerclapError
-from .isoperimetry import report_cluster
-from .laplacian import ALL_BCS
+from .isoperimetry import VIOLATION_KINDS, check_shape
+from .laplacian import BoundaryCondition
 from .lattice import LatticeBox, ShapeEnsemble, graph_to_json_dict, sample_graph
-from .spectral import (
-    REFLECTION_MAX_VERTICES,
-    REFLECTION_TOL,
-    chain_holds,
-    cluster_spectra,
-    default_grid,
-    empirical_ids,
-    range_violations,
-    reflection_deviation,
-    zero_tolerance,
-)
-from .tails import analytic_tail_fit, cluster_size_decay, fit_tail
+from .spectral import cluster_spectra, default_grid, empirical_ids
+from .tails import analytic_tail_fit, cluster_size_decay, decay_domain_problem, fit_tail
 
-_BC_BY_NAME = {bc.value: bc for bc in ALL_BCS}
 ANALYTIC_TAILS_D1_ONLY = "analytic tail fits require d = 1"
 
 
@@ -73,8 +62,7 @@ def _sample_ensemble(cfg: ExperimentConfig):
 
 def _run_ids(cfg, ensemble, grid, outputs, out, cache):
     for name in cfg.boundary_conditions:
-        bc = _BC_BY_NAME[name]
-        ids = empirical_ids(ensemble, bc, grid=grid, cache=cache)
+        ids = empirical_ids(ensemble, BoundaryCondition(name), grid=grid, cache=cache)
         fname = f"ids_{name}.csv"
         outputs[fname] = _write_text(out / fname, _ids_csv(ids))
         summary = {
@@ -103,23 +91,15 @@ def _report_row(rep) -> str:
 
 
 def _run_verify(cfg, ensemble, grid, outputs, out, cache):
-    tol = zero_tolerance(cfg.d)
-    rows = {}  # shape id -> report.csv row, for shapes of 2 or more vertices
-    violations = {"reflection": 0, "chain": 0, "cheeger": 0, "crude": 0, "range": 0}
+    rows = {}  # shape id -> report.csv row, for shapes with a report
+    violations = dict.fromkeys(VIOLATION_KINDS, 0)
     fk_min = None
     for sid, (c, m) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist())):
-        spectra = cluster_spectra(c, cache)
-        violations["range"] += m * range_violations(spectra, cfg.d, tol)
-        if (c.n_vertices <= REFLECTION_MAX_VERTICES
-                and reflection_deviation(spectra, cfg.d) > REFLECTION_TOL):
-            violations["reflection"] += m
-        if not chain_holds(spectra, grid):
-            violations["chain"] += m
-        if c.n_vertices < 2:
+        counts, rep = check_shape(c, grid, cluster_spectra(c, cache))
+        for kind, k in counts.items():
+            violations[kind] += m * k
+        if rep is None:
             continue
-        rep = report_cluster(c, spectra)
-        violations["crude"] += m * rep.crude_violated
-        violations["cheeger"] += m * rep.cheeger_violated
         fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
         rows[sid] = _report_row(rep)
     lines = ["size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"]
@@ -148,7 +128,7 @@ def _run_tails(cfg, ensemble, grid, outputs, out, cache, skipped):
         jobs = [(name, edge) for name in cfg.boundary_conditions
                 for edge in ("lower", "upper")]
         ids_by_bc = {
-            name: empirical_ids(ensemble, _BC_BY_NAME[name], grid=grid, cache=cache)
+            name: empirical_ids(ensemble, BoundaryCondition(name), grid=grid, cache=cache)
             for name in {n for n, _ in jobs}
         }
     unfitted = {}
@@ -156,7 +136,7 @@ def _run_tails(cfg, ensemble, grid, outputs, out, cache, skipped):
         stem = f"tail_{name}_{edge}"
         try:
             if cfg.tail_mode == "analytic":
-                fit = analytic_tail_fit(cfg.p, _BC_BY_NAME[name], window, edge=edge)
+                fit = analytic_tail_fit(cfg.p, BoundaryCondition(name), window, edge=edge)
             else:
                 fit = fit_tail(ids_by_bc[name], edge, window)
         except InsufficientDataError as exc:
@@ -237,7 +217,11 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
             else:
                 _run_tails(cfg, ensemble, grid, outputs, out, cache, skipped)
         if task in ("decay", "all"):
-            _run_decay(cfg, outputs, out)
+            problem = decay_domain_problem(cfg.d, cfg.p)
+            if task == "all" and problem is not None:
+                skipped["decay"] = problem
+            else:
+                _run_decay(cfg, outputs, out)
     except (PerclapError, MemoryError) as exc:
         manifest["status"] = "failed"
         manifest["failure"] = str(exc)

@@ -165,12 +165,8 @@ def summarize(cluster: Cluster, bc: BoundaryCondition) -> SpectralSummary:
     return SpectralSummary(cluster.n_vertices, bc, eigs, lowest_nonzero(eigs, bc))
 
 
-# Checks on the spectra of one cluster, as returned by cluster_spectra.
-# The [0, 4d] range check takes its tolerance from the caller (verify
-# uses zero_tolerance(d)).
-
-REFLECTION_TOL = 1e-9  # entrywise |spec(D) - (4d - spec(N))|
-REFLECTION_MAX_VERTICES = 500  # verify checks the reflection up to this size
+# Checks on the spectra of one cluster, as returned by cluster_spectra;
+# isoperimetry.check_shape applies them with verify's tolerances and caps.
 
 
 def range_violations(spectra: dict, d: int, tol: float) -> int:
@@ -193,27 +189,6 @@ def chain_holds(spectra: dict, grid: np.ndarray) -> bool:
     c_d = np.searchsorted(spectra[BoundaryCondition.DIRICHLET], grid, side="right")
     # array methods rather than np.all: this runs once per shape in verify
     return bool((c_n >= c_dt).all() and (c_dt >= c_d).all())
-
-
-def reflection_check(cluster: Cluster, tol: float):
-    """Dirichlet spectrum vs the reflected Neumann spectrum.
-
-    Returns (ok, max absolute deviation), see :func:`reflection_deviation`.
-    """
-    dev = reflection_deviation(cluster_spectra(cluster), cluster.d)
-    return dev <= tol, dev
-
-
-def chain_check(cluster: Cluster, grid, tol: float) -> bool:
-    """Eigenvalue-count ordering N >= Dt >= D on an energy grid.
-
-    Also requires every eigenvalue to lie in [-tol, 4d + tol].
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("energy grid must be nonempty")
-    spectra = cluster_spectra(cluster)
-    return range_violations(spectra, cluster.d, tol) == 0 and chain_holds(spectra, grid)
 
 
 def default_grid(d: int, points: int = 512, refine: int = 40) -> np.ndarray:

@@ -253,6 +253,16 @@ def origin_cluster_samples(d: int, p: float, samples: int, seed: int, radius: in
     return sizes, touched
 
 
+def decay_domain_problem(d: int, p: float) -> str | None:
+    """Why decay sampling refuses (d, p), or None if it accepts them."""
+    cap = SUBCRITICAL_P_CAP.get(d)
+    if cap is None:
+        return f"decay sampling supports d in {{1,2,3}}, got {d}"
+    if not 0.0 < p < cap:
+        return f"need 0 < p < {cap} for d={d} (safely subcritical), got {p}"
+    return None
+
+
 def cluster_size_decay(d: int, p: float, samples: int, seed: int,
                        radius: int | None = None) -> DecayFit:
     """Sample the cluster of the origin and fit its size-decay rate.
@@ -262,11 +272,9 @@ def cluster_size_decay(d: int, p: float, samples: int, seed: int,
     prefactor of the subcritical size law), over n with at least
     50 surviving samples.
     """
-    cap = SUBCRITICAL_P_CAP.get(d)
-    if cap is None:
-        raise DomainError(f"decay sampling supports d in {{1,2,3}}, got {d}")
-    if not 0.0 < p < cap:
-        raise DomainError(f"need 0 < p < {cap} for d={d} (safely subcritical), got {p}")
+    problem = decay_domain_problem(d, p)
+    if problem is not None:
+        raise DomainError(problem)
     if samples < 1:
         raise DomainError("samples must be positive")
     if radius is None:

@@ -240,6 +240,23 @@ def test_skipped_analytic_tails_recorded(tmp_path):
     assert "skipped" not in run(config_from_dict({**MINIMAL, "task": "ids"}), tmp_path / "i")
 
 
+def test_all_skips_decay_above_subcritical_cap(tmp_path, capsys):
+    cfg = _write(tmp_path, {"d": 2, "L": 24, "p": 0.45, "realizations": 2, "seed": 1})
+    out = tmp_path / "all"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["skipped"] == {
+        "tails": "analytic tail fits require d = 1",
+        "decay": "need 0 < p < 0.4 for d=2 (safely subcritical), got 0.45",
+    }
+    assert "verify_summary.json" in manifest["outputs"]
+    assert not (out / "decay.json").exists()
+    # the decay task alone still refuses p at or above the cap
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path / "decay")]) == 3
+    assert "numeric failure (domain): need 0 < p < 0.4" in capsys.readouterr().err
+
+
 def test_mc_tails_on_supercritical_box_skip_unfittable_edges(tmp_path, capsys):
     # the supercritical box's Neumann upper and Dirichlet lower edges, and
     # both Pseudo-Dirichlet edges, hold too little mass for 8 points

@@ -1,13 +1,13 @@
 """Laplacian assembly tests: exact matrices, identities, symmetries."""
 
 import numpy as np
-import pytest
 
 from conftest import reference_laplacian
 from perclap import LatticeBox, clusters, make_cubic_cluster, make_linear_cluster, sample_graph
+from perclap.isoperimetry import REFLECTION_TOL
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, assemble
-from perclap.spectral import chain_check, reflection_check
+from perclap.spectral import chain_holds, cluster_spectra, reflection_deviation
 
 N, DT, D = ALL_BCS
 
@@ -89,8 +89,8 @@ def test_reflection_check_on_sampled_clusters(small_ensemble):
         for c in clusters(g):
             if not 2 <= c.n_vertices <= 200:
                 continue
-            ok, dev = reflection_check(c, 1e-9)
-            assert ok, f"reflection deviation {dev}"
+            dev = reflection_deviation(cluster_spectra(c, {}), c.d)
+            assert dev <= REFLECTION_TOL, f"reflection deviation {dev}"
 
 
 def test_neumann_zero_mode_is_constant_vector():
@@ -100,12 +100,9 @@ def test_neumann_zero_mode_is_constant_vector():
                           np.zeros(c.n_vertices, dtype=np.int64))
 
 
-def test_chain_check_holds_and_rejects_empty_grid():
+def test_chain_holds_on_cube():
     c = make_cubic_cluster(3, 2)
-    grid = np.linspace(0, 8, 65)
-    assert chain_check(c, grid, 1e-9)
-    with pytest.raises(ValueError):
-        chain_check(c, np.empty(0), 1e-9)
+    assert chain_holds(cluster_spectra(c, {}), np.linspace(0, 8, 65))
 
 
 def test_operators_symmetric_integer(small_ensemble):

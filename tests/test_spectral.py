@@ -24,14 +24,17 @@ from perclap import (
 )
 from perclap import config_from_dict, isoperimetry, kernels, lattice, run, runner, spectral
 from perclap.cli import main
-from perclap.isoperimetry import EXHAUSTIVE_CUTOFF, report_cluster
+from perclap.isoperimetry import (
+    EXHAUSTIVE_CUTOFF,
+    REFLECTION_MAX_VERTICES,
+    REFLECTION_TOL,
+    report_cluster,
+)
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, BoundaryCondition, assemble
 from perclap.lattice import ShapeEnsemble
 from perclap.spectral import (
     DENSE_THRESHOLD,
-    REFLECTION_MAX_VERTICES,
-    REFLECTION_TOL,
     chain_holds,
     cluster_eigenvalues,
     cluster_spectra,
