@@ -91,39 +91,72 @@ def component_roots(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarr
 
 
 def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.ndarray,
-                       origin: int, seeds: np.ndarray, p: float):
+                       origin: int, master: int, samples: int, slots: int, p: float):
     """Size of the origin's cluster, and whether it reaches the wall, in
-    the realization of every stream in ``seeds`` at once.
+    the realizations of streams ``derive_seed(master, i)``, i < samples.
 
     ``neighbours[v, j]`` is the j-th lattice neighbour of vertex v (-1 past
     the wall), ``edge_ids[v, j]`` the uint64 candidate-edge index of that
-    bond and ``wall[v]`` marks the vertices on the box wall.  One frontier
-    BFS from the origin runs across all streams and draws a bond only when
-    it leads to an unvisited vertex, with the uniform ``edge_uniforms``
-    gives that edge (counter ``edge index + 1``), so each cluster is exactly
-    the origin's cluster of the fully drawn realization.  Returns
-    ``(sizes, touched)``; memory is one bool per (stream, vertex).
+    bond and ``wall[v]`` marks the vertices on the box wall.  A pool of
+    ``slots`` streams (at least 1, at most ``samples``) runs one frontier
+    BFS from the origin per round; a slot whose frontier empties writes
+    its sample's result, clears its visited row and takes the next sample.
+    The BFS draws a bond only when it leads to an unvisited vertex, with
+    the uniform ``edge_uniforms`` gives that edge (counter ``edge index +
+    1``), so each cluster is exactly the origin's cluster of the fully
+    drawn realization, whatever the pool size.  Returns ``(sizes,
+    touched)``; working memory is one bool per (slot, vertex).
     """
-    n, (nv, degree) = seeds.size, neighbours.shape
-    visited = np.zeros(n * nv, dtype=bool)
-    sample = np.arange(n, dtype=np.int64)
-    vertex = np.full(n, origin, dtype=np.int64)
-    visited[sample * nv + vertex] = True
-    sizes = np.ones(n, dtype=np.int64)
-    touched = np.full(n, bool(wall[origin]))
-    while sample.size:
+    nv, degree = neighbours.shape
+    k = min(samples, max(1, slots))
+    visited = np.zeros((k, nv), dtype=bool)
+    flat = visited.reshape(-1)
+    sizes = np.empty(samples, dtype=np.int64)
+    touched = np.empty(samples, dtype=bool)
+    # per slot: its sample index, stream seed, cluster size and wall contact
+    at = np.arange(k, dtype=np.int64)
+    seeds = derive_seeds(master, 0, k)
+    size = np.ones(k, dtype=np.int64)
+    reach = np.full(k, bool(wall[origin]))
+    live = np.ones(k, dtype=bool)
+    slot = at.copy()
+    vertex = np.full(k, origin, dtype=np.int64)
+    visited[:, origin] = True
+    start = k
+    while slot.size:
         nbr = neighbours[vertex].ravel()
-        owner = np.repeat(sample, degree)
+        owner = np.repeat(slot, degree)
         key = owner * nv + nbr
         look = nbr >= 0
-        look[look] = ~visited[key[look]]
+        look[look] = ~flat[key[look]]
         counters = edge_ids[vertex].ravel()[look] + np.uint64(1)
         opened = _counter_uniforms(seeds[owner[look]], counters) < p
-        key = np.unique(key[look][opened])
-        visited[key] = True
-        sample, vertex = np.divmod(key, nv)
-        sizes += np.bincount(sample, minlength=n)
-        touched[sample[wall[vertex]]] = True
+        key = key[look][opened]
+        key.sort()
+        if key.size > 1:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        flat[key] = True
+        slot, vertex = np.divmod(key, nv)
+        grown = np.bincount(slot, minlength=k)
+        size += grown
+        reach[slot[wall[vertex]]] = True
+        done = np.flatnonzero(live & (grown == 0))
+        if not done.size:
+            continue
+        sizes[at[done]], touched[at[done]] = size[done], reach[done]
+        visited[done] = False
+        m = min(done.size, samples - start)
+        live[done[m:]] = False
+        if not m:
+            continue
+        done = done[:m]
+        at[done] = np.arange(start, start + m)
+        seeds[done] = derive_seeds(master, start, m)
+        start += m
+        size[done], reach[done] = 1, bool(wall[origin])
+        visited[done, origin] = True
+        slot = np.concatenate((slot, done))
+        vertex = np.concatenate((vertex, np.full(m, origin, dtype=np.int64)))
     return sizes, touched
 
 

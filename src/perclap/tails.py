@@ -25,7 +25,9 @@ logger = logging.getLogger(__name__)
 
 TAIL_FLOOR_ANALYTIC = 1e-300
 DECAY_MIN_COUNT = 50
-# (sample x vertex) visited slots of one batch of the origin-cluster BFS
+# bound on the origin-cluster BFS pool: (stream slot x vertex) visited
+# flags, one byte each: 256 KiB (one box, if larger) whatever the
+# sample count
 DECAY_BATCH_SLOTS = 1 << 18
 
 # engineering caps well below the literature percolation thresholds;
@@ -232,9 +234,10 @@ def origin_cluster_samples(d: int, p: float, samples: int, seed: int, radius: in
 
     Realization i is bond percolation on the box of side 2*radius + 1
     centred on the origin, drawn from ``derive_seed(seed, i)`` exactly as
-    ``sample_graph`` would draw it.  The BFS runs in batches of at most
-    ``DECAY_BATCH_SLOTS`` (sample x vertex) slots, one realization at least.
-    Returns ``(sizes, touched)``.
+    ``sample_graph`` would draw it.  One ``origin_cluster_bfs`` call runs
+    the samples through a pool of ``DECAY_BATCH_SLOTS // n_vertices``
+    stream slots (at least 1, at most ``samples``), refilled as clusters
+    finish.  Returns ``(sizes, touched)``.
     """
     side = 2 * radius + 1
     box = LatticeBox(d, side)
@@ -242,15 +245,8 @@ def origin_cluster_samples(d: int, p: float, samples: int, seed: int, radius: in
     coords = box.coords(np.arange(box.n_vertices, dtype=np.int64))
     wall = np.any((coords == 0) | (coords == side - 1), axis=1)
     origin = int(box.linear_index(np.full(d, radius, dtype=np.int64)))
-    batch = max(1, DECAY_BATCH_SLOTS // box.n_vertices)
-    sizes = np.empty(samples, dtype=np.int64)
-    touched = np.empty(samples, dtype=bool)
-    for start in range(0, samples, batch):
-        stop = min(start + batch, samples)
-        seeds = kernels.derive_seeds(seed, start, stop - start)
-        sizes[start:stop], touched[start:stop] = kernels.origin_cluster_bfs(
-            neighbours, edge_ids, wall, origin, seeds, p)
-    return sizes, touched
+    return kernels.origin_cluster_bfs(neighbours, edge_ids, wall, origin, seed, samples,
+                                      DECAY_BATCH_SLOTS // box.n_vertices, p)
 
 
 def decay_domain_problem(d: int, p: float) -> str | None:

@@ -1,6 +1,7 @@
 """Analytic 1d series, tail-exponent fits, and cluster-size decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,4 +293,38 @@ def test_origin_cluster_samples_match_per_sample_loop(d, p, samples, radius):
     assert touched.tolist() == want_touched
     if radius == 2:
         assert touched.mean() > 0.5
+
+
+@pytest.mark.parametrize("d, p, samples, radius", [
+    (1, 0.5, 500, 40),
+    (2, 0.3, 500, 16),
+    (3, 0.15, 200, 8),
+    (2, 0.3, 1, 16),
+    (2, 0.35, 500, 2),    # most clusters reach the wall
+])
+def test_origin_cluster_samples_independent_of_pool_size(monkeypatch, d, p, samples, radius):
+    """1 slot, 3 slots and more slots than samples give the same clusters
+    as the default pool: the refill order cannot change a result."""
+    seed = derive_seed(97, d)
+    want_sizes, want_touched = origin_cluster_samples(d, p, samples, seed, radius)
+    n_vertices = (2 * radius + 1) ** d
+    for slots in (1, 3, samples + 7):
+        monkeypatch.setattr(tails, "DECAY_BATCH_SLOTS", slots * n_vertices)
+        sizes, touched = origin_cluster_samples(d, p, samples, seed, radius)
+        assert np.array_equal(sizes, want_sizes), slots
+        assert np.array_equal(touched, want_touched), slots
+
+
+def test_origin_cluster_samples_memory_bound():
+    """The BFS pool caps working memory whatever the sample count: the
+    traced peak of 20k samples on the 33x33 box stays under 2 MiB."""
+    seed = derive_seed(98, 2)
+    origin_cluster_samples(2, 0.3, 20_000, seed, 16)   # warm-up: lazy tables
+    tracemalloc.start()
+    try:
+        origin_cluster_samples(2, 0.3, 20_000, seed, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
