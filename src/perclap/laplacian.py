@@ -4,7 +4,11 @@ Matrices are assembled with exact integer entries; floating point only
 enters in the eigensolvers.  Clusters up to :data:`DENSE_THRESHOLD`
 vertices get a dense array, larger ones a sparse CSC matrix, so no
 n x n array is allocated for a giant cluster unless its dense
-:attr:`SymmetricOperator.spectrum` is asked for.
+:attr:`SymmetricOperator.spectrum` is asked for.  Dense matrices are
+filled by :func:`dense_stack`, which builds the matrices of many
+clusters of one size as one ``(m, n, n)`` array for a stacked
+eigensolver call; a single dense :func:`assemble` is its one-cluster
+case.
 """
 
 import enum
@@ -86,17 +90,27 @@ class SymmetricOperator:
 def assemble(cluster: Cluster, bc: BoundaryCondition) -> SymmetricOperator:
     """Degree/adjacency combination for the requested boundary condition."""
     n = cluster.n_vertices
-    diag = bc.diagonal(cluster.degrees, cluster.d)
-    u, v = cluster.edges[:, 0], cluster.edges[:, 1]
     if n > DENSE_THRESHOLD:
         from scipy.sparse import csc_matrix
 
+        diag = bc.diagonal(cluster.degrees, cluster.d)
+        u, v = cluster.edges[:, 0], cluster.edges[:, 1]
         rows = np.concatenate((np.arange(n), u, v))
         cols = np.concatenate((np.arange(n), v, u))
         data = np.concatenate((diag, np.full(2 * cluster.n_edges, -1, dtype=np.int64)))
         return SymmetricOperator(cluster, bc, csc_matrix((data, (rows, cols)), shape=(n, n)))
-    mat = np.zeros((n, n), dtype=np.int64)
-    mat[np.arange(n), np.arange(n)] = diag
-    mat[u, v] = -1
-    mat[v, u] = -1
-    return SymmetricOperator(cluster, bc, mat)
+    return SymmetricOperator(cluster, bc, dense_stack([cluster], bc)[0])
+
+
+def dense_stack(clusters, bc: BoundaryCondition) -> np.ndarray:
+    """int64 ``(m, n, n)`` stack of the dense matrices of m clusters that
+    all have n vertices, filled in one vectorized pass."""
+    n, d = clusters[0].n_vertices, clusters[0].d
+    stack = np.zeros((len(clusters), n, n), dtype=np.int64)
+    diag = np.arange(n)
+    stack[:, diag, diag] = bc.diagonal(np.stack([c.degrees for c in clusters]), d)
+    which = np.repeat(np.arange(len(clusters)), [c.n_edges for c in clusters])
+    u, v = np.concatenate([c.edges for c in clusters]).T
+    stack[which, u, v] = -1
+    stack[which, v, u] = -1
+    return stack

@@ -2,9 +2,13 @@
 
 The empirical IDS works on a :class:`~perclap.lattice.ShapeEnsemble`:
 each distinct cluster shape is diagonalized once per boundary condition
-and its spectrum pooled with the shape's multiplicity.  Spectra are
-cached by the translation-invariant canonical key, so the stages of a
-run share them.  Shapes above :data:`DENSE_THRESHOLD` are not
+and its spectrum pooled with the shape's multiplicity.
+:func:`shape_spectra` diagonalizes the shapes in bulk: shapes of one
+vertex count go through one stacked ``eigvalsh`` call per chunk of at
+most ``DENSE_THRESHOLD**2`` matrix entries, and the spectra it returns
+are bitwise those of solving each shape alone.  Spectra are cached by
+the translation-invariant canonical key, so the stages of a run share
+them.  Shapes above :data:`DENSE_THRESHOLD` are not
 diagonalized up front; :func:`count_leq` counts their eigenvalues at
 each grid energy from the pivot signs of a sparse SuperLU factorization
 (Sylvester's law of inertia).  Only at an energy where that
@@ -28,6 +32,7 @@ from .laplacian import (
     BoundaryCondition,
     SymmetricOperator,
     assemble,
+    dense_stack,
 )
 from .lattice import Cluster, ShapeEnsemble
 
@@ -135,6 +140,58 @@ def cluster_eigenvalues(cluster: Cluster, bc: BoundaryCondition, cache=None) -> 
         eigs = eigenvalues(assemble(cluster, bc))
         cache[key] = eigs
     return eigs
+
+
+def _stacked_eigenvalues(shapes, bc: BoundaryCondition):
+    """Spectra of shapes of one vertex count, one per shape, from one
+    stacked solve.
+
+    If the stacked solver fails, the shapes are solved one by one, so
+    the :class:`NumericError` names the failing cluster.
+    """
+    try:
+        return np.linalg.eigvalsh(dense_stack(shapes, bc).astype(np.float64))
+    except np.linalg.LinAlgError:
+        return [eigenvalues(assemble(c, bc)) for c in shapes]
+
+
+def shape_spectra(ensemble: ShapeEnsemble, bc: BoundaryCondition, cache) -> list:
+    """Spectrum of every shape of ``ensemble``, by shape id.
+
+    None for a shape above :data:`DENSE_THRESHOLD`.  Uncached shapes of
+    2 to ``DENSE_THRESHOLD`` vertices are grouped by vertex count; a
+    group of one goes through :func:`cluster_eigenvalues`, a larger one
+    through stacked solves of at most ``DENSE_THRESHOLD**2`` matrix
+    entries each.  Every spectrum solved is stored in ``cache``.
+    """
+    spectra = [None] * len(ensemble.shapes)
+    pending = {}  # vertex count -> ids of uncached shapes
+    for sid, c in enumerate(ensemble.shapes):
+        n = c.n_vertices
+        if n > DENSE_THRESHOLD:
+            continue
+        if n == 1:
+            spectra[sid] = cluster_eigenvalues(c, bc, cache)
+            continue
+        spectra[sid] = cache.get((bc.value, c.canonical_key()))
+        if spectra[sid] is None:
+            pending.setdefault(n, []).append(sid)
+    stacked = singles = 0
+    for n, sids in pending.items():
+        if len(sids) == 1:
+            spectra[sids[0]] = cluster_eigenvalues(ensemble.shapes[sids[0]], bc, cache)
+            singles += 1
+            continue
+        per_chunk = DENSE_THRESHOLD ** 2 // (n * n)
+        for lo in range(0, len(sids), per_chunk):
+            chunk = sids[lo:lo + per_chunk]
+            shapes = [ensemble.shapes[sid] for sid in chunk]
+            for sid, c, eigs in zip(chunk, shapes, _stacked_eigenvalues(shapes, bc)):
+                spectra[sid] = cache[(bc.value, c.canonical_key())] = eigs
+            stacked += 1
+    log.debug("bc %s: %d shapes solved, %d stacked calls, %d single solves",
+              bc.value, sum(map(len, pending.values())), stacked, singles)
+    return spectra
 
 
 def cluster_spectra(cluster: Cluster, cache=None) -> dict:
@@ -245,15 +302,18 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         grid = default_grid(ensemble.d)
     grid = np.asarray(grid, dtype=np.float64)
 
+    if cache is None:
+        cache = _SPECTRUM_CACHE
     pools = []
     extra = None
-    for c, m in zip(ensemble.shapes, ensemble.counts):
-        if c.n_vertices > DENSE_THRESHOLD:
+    spectra = shape_spectra(ensemble, bc, cache)
+    for c, m, eigs in zip(ensemble.shapes, ensemble.counts, spectra):
+        if eigs is None:
             op = assemble(c, bc)
             inertia = m * np.array([count_leq(op, E) for E in grid], dtype=np.int64)
             extra = inertia if extra is None else extra + inertia
         else:
-            pools.append(np.tile(cluster_eigenvalues(c, bc, cache), m))
+            pools.append(np.tile(eigs, m))
     pooled = np.sort(np.concatenate(pools)) if pools else np.empty(0)
 
     tol = ATOM_TOL_FACTOR * 4 * ensemble.d

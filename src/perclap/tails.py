@@ -26,9 +26,9 @@ logger = logging.getLogger(__name__)
 TAIL_FLOOR_ANALYTIC = 1e-300
 DECAY_MIN_COUNT = 50
 # bound on the origin-cluster BFS pool: (stream slot x vertex) visited
-# flags, one byte each: 256 KiB (one box, if larger) whatever the
-# sample count
-DECAY_BATCH_SLOTS = 1 << 18
+# flags, one byte each: 512 KiB (one box, if larger) whatever the
+# sample count, e.g. 481 slots on the 33x33 box of radius 16
+DECAY_BATCH_SLOTS = 1 << 19
 
 # engineering caps well below the literature percolation thresholds;
 # the source analysis never states numeric p_c values

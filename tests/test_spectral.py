@@ -40,6 +40,7 @@ from perclap.spectral import (
     cluster_spectra,
     range_violations,
     reflection_deviation,
+    shape_spectra,
     summarize,
     zero_tolerance,
 )
@@ -350,24 +351,120 @@ def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
         for c in clusters(sample_graph(LatticeBox(2, 16), 0.35, derive_seed(5, i)))
         if c.n_vertices > 1
     }
+    # every (bc, shape) diagonalized, as a single solve or a stacked row
     solves = Counter()
-    solve = spectral.eigenvalues
+    solve, solve_stack = spectral.eigenvalues, spectral._stacked_eigenvalues
 
     def counting(op):
         solves[(op.bc, op.cluster.canonical_key())] += 1
         return solve(op)
+
+    def counting_stack(shapes, bc):
+        for c in shapes:
+            solves[(bc, c.canonical_key())] += 1
+        return solve_stack(shapes, bc)
 
     calls = Counter()
     _count_calls(monkeypatch, lattice.clusters, calls)
     _count_calls(monkeypatch, kernels.best_cheeger_cut, calls)
     monkeypatch.setattr(spectral, "_SPECTRUM_CACHE", {})
     monkeypatch.setattr(spectral, "eigenvalues", counting)
+    monkeypatch.setattr(spectral, "_stacked_eigenvalues", counting_stack)
     assert run(cfg, tmp_path)["status"] == "ok"
     assert set(solves) == {(bc, key) for bc in ALL_BCS for key in shapes}
     assert set(solves.values()) == {1}
     assert calls["clusters"] == cfg.realizations
     assert calls["best_cheeger_cut"] == sum(
         1 for n in shapes.values() if n <= EXHAUSTIVE_CUTOFF)
+
+
+# d = 1, 2, 3 ensembles; each has isolated vertices and, in d >= 2,
+# vertex counts with several shapes
+SHAPE_SPECTRA_CASES = [(1, 3000, 0.6), (2, 30, 0.45), (3, 10, 0.22)]
+
+
+@pytest.mark.parametrize("d, L, p", SHAPE_SPECTRA_CASES)
+def test_shape_spectra_match_per_shape_solves(d, L, p, monkeypatch):
+    ensemble = ShapeEnsemble([sample_graph(LatticeBox(d, L), p, derive_seed(4, i))
+                              for i in range(2)])
+    sizes = [c.n_vertices for c in ensemble.shapes]
+    assert 1 in sizes
+    stacks = []
+    fill = spectral.dense_stack
+
+    def recording(shapes, bc):
+        stack = fill(shapes, bc)
+        stacks.append(stack.shape)
+        return stack
+
+    monkeypatch.setattr(spectral, "dense_stack", recording)
+    for threshold in (DENSE_THRESHOLD, 5):
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", threshold)
+        stacks.clear()
+        for bc in ALL_BCS:
+            cache = {}
+            spectra = shape_spectra(ensemble, bc, cache)
+            for c, eigs in zip(ensemble.shapes, spectra):
+                if c.n_vertices > threshold:
+                    assert eigs is None
+                elif c.n_vertices == 1:
+                    assert eigs.tolist() == [bc.isolated_value(d)]
+                else:
+                    assert eigs.tobytes() == assemble(c, bc).spectrum.tobytes()
+                    assert cache[(bc.value, c.canonical_key())] is eigs
+            again = shape_spectra(ensemble, bc, cache)  # every solve is a cache hit
+            assert all(a is b for a, b, n in zip(again, spectra, sizes) if n > 1)
+        assert all(m * n * n <= threshold ** 2 for m, n, _ in stacks)
+        if d == 1:  # every d = 1 shape is a path, alone at its vertex count
+            assert stacks == []
+    if d > 1:  # at threshold 5 some vertex count is split over several stacks
+        per_size = Counter(n for _, n, _ in stacks)
+        assert max(per_size.values()) > len(ALL_BCS)
+
+
+def test_shape_spectra_logs_solve_counts(caplog):
+    ensemble = ShapeEnsemble([sample_graph(LatticeBox(2, 16), 0.35, derive_seed(2, 0))])
+    multi = Counter(c.n_vertices for c in ensemble.shapes if c.n_vertices > 1)
+    assert min(multi.values()) == 1 < max(multi.values())
+    cache = {}
+    with caplog.at_level("DEBUG", logger="perclap.spectral"):
+        for bc in ALL_BCS:
+            empirical_ids(ensemble, bc, cache=cache)
+        lines = [r.getMessage() for r in caplog.records if "shapes solved" in r.getMessage()]
+        assert lines == [
+            f"bc {bc.value}: {sum(multi.values())} shapes solved, "
+            f"{sum(1 for k in multi.values() if k > 1)} stacked calls, "
+            f"{sum(1 for k in multi.values() if k == 1)} single solves"
+            for bc in ALL_BCS
+        ]
+        caplog.clear()
+        empirical_ids(ensemble, N, cache=cache)
+    assert [r.getMessage() for r in caplog.records if "shapes solved" in r.getMessage()] == [
+        "bc N: 0 shapes solved, 0 stacked calls, 0 single solves"]
+
+
+def test_stacked_solver_failure_names_the_cluster(tmp_path, monkeypatch, capsys):
+    """A failed stacked solve is redone shape by shape, so the exit-3
+    message names the cluster whose own solve fails."""
+    data = {"d": 2, "L": 12, "p": 0.35, "seed": 3, "task": "ids", "boundary_conditions": ["N"]}
+    ensemble = ShapeEnsemble([sample_graph(LatticeBox(2, 12), 0.35, derive_seed(3, 0))])
+    multi = Counter(c.n_vertices for c in ensemble.shapes)
+    target = next(c for c in ensemble.shapes if c.n_vertices > 1 and multi[c.n_vertices] > 1)
+    bad = assemble(target, N).matrix.astype(np.float64)
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a):
+        if a.ndim == 3 or np.array_equal(a, bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(spectral, "_SPECTRUM_CACHE", {})
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["ids", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert (f"numeric failure (solver): eigensolver failed on cluster with root vertex "
+            f"{int(target.vertices[0])}:") in capsys.readouterr().err
 
 
 def _per_cluster_ids_pool(graphs, bc):
