@@ -4,7 +4,10 @@ Matrices are assembled with exact integer entries; floating point only
 enters in the eigensolvers.  Clusters up to :data:`DENSE_THRESHOLD`
 vertices get a dense array, larger ones a sparse CSC matrix, so no
 n x n array is allocated for a giant cluster unless its dense
-:attr:`SymmetricOperator.spectrum` is asked for.  Dense matrices are
+:attr:`SymmetricOperator.spectrum` is asked for.  For the sparse
+inertia counts an operator also keeps :attr:`SymmetricOperator.shifted`,
+a float64 copy in the elimination order of its first factorization,
+whose diagonal is rewritten for each energy.  Dense matrices are
 filled by :func:`dense_stack`, which builds the matrices of many
 clusters of one size as one ``(m, n, n)`` array for a stacked
 eigensolver call; a single dense :func:`assemble` is its one-cluster
@@ -57,6 +60,9 @@ class SymmetricOperator:
 
     ``matrix`` is an int64 |V| x |V| numpy array up to
     :data:`DENSE_THRESHOLD` vertices and a scipy CSC matrix above it.
+    Two derived matrices are built on first use and live as long as the
+    operator: the dense :attr:`spectrum` and the :attr:`shifted` matrix
+    that holds the sparse elimination order.
     """
 
     cluster: Cluster
@@ -85,6 +91,55 @@ class SymmetricOperator:
                 f"eigensolver failed on cluster with root vertex "
                 f"{int(self.cluster.vertices[0])}: {exc}"
             ) from exc
+
+    @functools.cached_property
+    def shifted(self) -> "ShiftedMatrix":
+        """Storage for the sparse factorizations of ``matrix - E*I``;
+        its elimination order is fixed by the first one."""
+        return ShiftedMatrix(self.matrix)
+
+
+class ShiftedMatrix:
+    """float64 CSC of P A P^T, refilled with P (A - E I) P^T per energy.
+
+    Every column stores its diagonal entry, at ``diag_pos`` in
+    ``matrix.data``, so :meth:`at` rewrites values and never the
+    sparsity pattern.  P is the identity, with ``perm`` None, until
+    :meth:`reorder` sets it to the column order of a first
+    factorization.  A - E I has the same pattern at every energy, so
+    that order serves every later one.
+    """
+
+    def __init__(self, source):
+        self._source = source  # the operator's integer matrix, dense or sparse
+        self.perm = None
+        self._build(np.arange(source.shape[0]))
+
+    def _build(self, perm: np.ndarray) -> None:
+        """Entry (i, j) of the source goes to (perm[i], perm[j])."""
+        from scipy.sparse import coo_matrix, csc_matrix
+
+        coo = coo_matrix(self._source)
+        n = coo.shape[0]
+        # an extra 0.5 on the diagonal keeps every diagonal entry stored,
+        # also a zero one (the Neumann matrix of an isolated vertex)
+        rows = perm[np.concatenate((coo.row, np.arange(n)))]
+        cols = perm[np.concatenate((coo.col, np.arange(n)))]
+        data = np.concatenate((coo.data.astype(np.float64), np.full(n, 0.5)))
+        self.matrix = csc_matrix((data, (rows, cols)), shape=(n, n))
+        column = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
+        self.diag_pos = np.flatnonzero(self.matrix.indices == column)
+        self.diag = self.matrix.data[self.diag_pos] - 0.5
+
+    def reorder(self, perm: np.ndarray) -> None:
+        """Store the matrix as P A P^T, with P taking index i to perm[i]."""
+        self.perm = np.asarray(perm)
+        self._build(self.perm)
+
+    def at(self, E: float):
+        """The stored matrix, with its diagonal set to diag(P A P^T) - E."""
+        self.matrix.data[self.diag_pos] = self.diag - E
+        return self.matrix
 
 
 def assemble(cluster: Cluster, bc: BoundaryCondition) -> SymmetricOperator:

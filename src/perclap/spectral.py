@@ -10,8 +10,11 @@ are bitwise those of solving each shape alone.  Spectra are cached by
 the translation-invariant canonical key, so the stages of a run share
 them.  Shapes above :data:`DENSE_THRESHOLD` are not
 diagonalized up front; :func:`count_leq` counts their eigenvalues at
-each grid energy from the pivot signs of a sparse SuperLU factorization
-(Sylvester's law of inertia).  Only at an energy where that
+each grid energy below 4d from the pivot signs of a sparse SuperLU
+factorization (Sylvester's law of inertia), and at E >= 4d returns the
+vertex count.  The first factorization of an operator fixes its
+elimination order, and later energies are factored in that order
+without ordering again.  Only at an energy where that
 factorization breaks down twice does it read the count off the shape's
 dense spectrum, computed once per operator.  The counting convention is
 right-continuous throughout: N(E) counts eigenvalues <= E.
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .exceptions import DomainError, NumericError
@@ -55,6 +57,11 @@ def eigenvalues(op: SymmetricOperator) -> np.ndarray:
     return op.spectrum
 
 
+def _refused(E: float) -> bool:
+    """True for an energy :func:`_lu_pivots` never factors."""
+    return not math.isfinite(E) or float(E).is_integer()
+
+
 def _lu_pivots(op: SymmetricOperator, E: float):
     """diag(U) of a sparse symmetric-mode LU of (matrix - E*I), or None.
 
@@ -62,6 +69,17 @@ def _lu_pivots(op: SymmetricOperator, E: float):
     P (A - E I) P^T = L U, and U = D L^T with D the pivots of an LDL^T
     congruence.  None when SuperLU finds the matrix exactly singular or
     the permutations differ, so that the factorization is no congruence.
+
+    The matrix factored is ``op.shifted``
+    (:class:`~perclap.laplacian.ShiftedMatrix`) with its diagonal set for
+    E.  Its first factorization orders the columns by MMD on A + A^T and
+    stores the matrix in that order; A - E I has the same pattern at every
+    energy, so every later factorization of the operator keeps that order
+    (``NATURAL``) and skips the ordering step.  ``panel_size=1`` is a
+    measured constant (2-vCPU AMD EPYC, scipy 1.17): on Neumann operators
+    of 2.7k, 24k and 62k vertices a factorization in the stored order took
+    1.9, 12 and 42 ms with it and 3.3, 27 and 94 ms with SuperLU's default
+    panel, against 4.9, 40 and 137 ms for an MMD-ordered one at the default.
 
     None also, without factorizing, for an integer or non-finite E.  At
     an integer E, A - E I is an integer matrix, and its elimination meets
@@ -72,14 +90,13 @@ def _lu_pivots(op: SymmetricOperator, E: float):
     eigenvalue of an integer matrix is an integer, so at any other finite
     E every exact pivot is nonzero.
     """
-    if not math.isfinite(E) or float(E).is_integer():
+    if _refused(E):
         return None
-    shifted = (scipy.sparse.csc_matrix(op.matrix, dtype=np.float64)
-               - E * scipy.sparse.identity(op.n, format="csc"))
+    shifted = op.shifted
     try:
-        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(
+            shifted.at(E), permc_spec="MMD_AT_PLUS_A" if shifted.perm is None else "NATURAL",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True}, panel_size=1)
     except RuntimeError as exc:
         if "exactly singular" in str(exc):
             return None
@@ -87,6 +104,8 @@ def _lu_pivots(op: SymmetricOperator, E: float):
             f"sparse LU failed on cluster with root vertex "
             f"{int(op.cluster.vertices[0])} at E={E}: {exc}"
         ) from exc
+    if shifted.perm is None:
+        shifted.reorder(lu.perm_c)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu.U.diagonal()
@@ -95,31 +114,41 @@ def _lu_pivots(op: SymmetricOperator, E: float):
 def count_leq(op: SymmetricOperator, E: float, _shift: bool = True) -> int:
     """Number of eigenvalues <= E via the inertia of (matrix - E*I).
 
-    ``op.matrix`` may be dense or sparse.  By Sylvester's law of inertia
+    ``op.matrix`` may be dense or sparse.  For E >= 4d the count is
+    ``op.n`` without a factorization: by Gershgorin every N, Dt and D
+    spectrum lies in [0, 4d].  Below 4d, by Sylvester's law of inertia,
     the count is the number of negative pivots of the congruence
     L D L^T of :func:`_lu_pivots`.  That factorization breaks down when
     SuperLU reports the matrix exactly singular, when its row and column
-    permutations differ, when a pivot is smaller in magnitude than
-    1e-12 * 4d, or when E is an integer, which it refuses.
+    permutations differ, or when a pivot is smaller in magnitude than
+    1e-12 * 4d; it is not made at an integer E.
 
-    On a breakdown ``count_leq`` calls itself once at E + 1e-12 * 4d,
-    which puts an eigenvalue at E on the counted side.  If the sparse
-    factorization breaks down there too, the count at that shifted
-    energy is read off the operator's dense spectrum
+    At an integer E, or on a breakdown, ``count_leq`` calls itself once
+    at E + 1e-12 * 4d, which puts an eigenvalue at E on the counted side.
+    If the sparse factorization breaks down there too, the count at that
+    shifted energy is read off the operator's dense spectrum
     (:attr:`~perclap.laplacian.SymmetricOperator.spectrum`, computed at
     most once per operator), the same snap convention as the pooled
     IDS.  Unpivoted sparse LU cannot get past energies where a giant
     cluster has an eigenvalue of high multiplicity (Neumann E = 1 or 2,
-    pseudo-Dirichlet E = 2d).  Both steps are logged.  ``_shift`` is
+    pseudo-Dirichlet E = 2d).  The planned integer shift is logged at
+    DEBUG, breakdowns and the dense fallback at WARNING.  ``_shift`` is
     internal: False in the shifted call.
     """
+    if E >= op.spectral_width:
+        return op.n
     pivots = _lu_pivots(op, E)
     breakdown = ZERO_TOL_FACTOR * 1e-3 * op.spectral_width  # |pivot| ~ 0
     if pivots is not None and np.abs(pivots).min() >= breakdown:
         return int(np.count_nonzero(pivots < 0.0))
     if _shift:
         shifted = E + ATOM_TOL_FACTOR * op.spectral_width
-        log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g", E, shifted)
+        if _refused(E):
+            log.debug("inertia count at E=%.17g is not factored, counting at E=%.17g",
+                      E, shifted)
+        else:
+            log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g",
+                        E, shifted)
         return count_leq(op, shifted, _shift=False)
     log.warning("inertia count at E=%.17g broke down, counting the dense spectrum", E)
     return int(np.searchsorted(op.spectrum, E, side="right"))

@@ -1,6 +1,7 @@
 """Spectral computations: dense spectra, inertia counts, empirical IDS."""
 
 import json
+import logging
 import math
 from collections import Counter
 
@@ -89,19 +90,21 @@ def test_dense_threshold_enforced():
 def test_count_leq_matches_dense():
     rng = np.random.default_rng(2)
     g = sample_graph(LatticeBox(2, 12), 0.5, derive_seed(41, 0))
-    for c in clusters(g):
-        if c.n_vertices < 2:
-            continue
+    for c in clusters(g):  # isolated vertices too: an empty Neumann diagonal
         for bc in ALL_BCS:
             op = assemble(c, bc)
             eigs = eigenvalues(op)
             for E in rng.uniform(-0.5, 8.5, size=6):
                 want = int(np.searchsorted(eigs, E, side="right"))
                 got = count_leq(op, float(E))
+                # a throwaway operator, freed at once, so that the next one
+                # may reuse its id: an elimination order kept anywhere but
+                # on its own operator would leak into another cluster
+                fresh = count_leq(assemble(c, bc), float(E))
                 # an inertia count may differ if E sits within fp error
                 # of an eigenvalue; exclude that knife edge
                 if np.min(np.abs(eigs - E)) > 1e-9:
-                    assert got == want
+                    assert got == want == fresh
 
 
 def test_count_leq_on_eigenvalue_counts_full_atom():
@@ -200,6 +203,81 @@ def test_large_cluster_inertia_path_matches_dense_ids(giant_clusters):
             want = np.searchsorted(eigs, energies + 1e-12 * width, side="right")
             got = [count_leq(op, float(E)) for E in energies]
             assert got == want.tolist(), (c.d, bc)
+            # the first factorization fixes the operator's elimination
+            # order, so fresh operators start the same energies elsewhere
+            for order in (np.arange(energies.size)[::-1], rng.permutation(energies.size)):
+                fresh = assemble(c, bc)
+                got = [count_leq(fresh, float(energies[i])) for i in order]
+                assert got == want[order].tolist(), (c.d, bc, order[0])
+
+
+def test_inertia_counts_reuse_the_first_elimination_order(giant_clusters, monkeypatch):
+    """A - E I has one sparsity pattern at every energy, so only an
+    operator's first SuperLU call orders the columns (MMD); every later
+    one factors the stored permuted matrix in its natural order.  Each
+    energy below 4d costs one call, an integer one at its shifted energy,
+    and E = 4d none."""
+    import scipy.sparse.linalg
+
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(a, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    for c, spectra in giant_clusters:
+        grid = default_grid(c.d, points=16, refine=0)
+        for bc, eigs in spectra.items():
+            specs.clear()
+            op = assemble(c, bc)
+            got = [count_leq(op, float(E)) for E in grid]
+            want = np.searchsorted(eigs, grid + 1e-12 * 4 * c.d, side="right")
+            assert got == want.tolist(), (c.d, bc)
+            assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (grid.size - 2), (c.d, bc)
+
+
+def test_count_leq_at_or_above_4d_counts_every_eigenvalue_unfactored(giant_clusters,
+                                                                      monkeypatch):
+    """By Gershgorin every N, Dt and D spectrum lies in [0, 4d], so at
+    E >= 4d the count is the vertex count, with no factorization.  E = 0
+    still takes its one shifted call."""
+    import scipy.sparse.linalg
+
+    def refusing(a, **kwargs):
+        raise AssertionError("splu called at E >= 4d")
+
+    for c, spectra in giant_clusters:
+        width = 4 * c.d
+        for bc, eigs in spectra.items():
+            op = assemble(c, bc)
+            with monkeypatch.context() as m:
+                m.setattr(scipy.sparse.linalg, "splu", refusing)
+                for E in (width, width + 1e-13, width + 0.5):
+                    want = int(np.searchsorted(eigs, E + 1e-12 * width, side="right"))
+                    assert count_leq(op, float(E)) == want == c.n_vertices, (c.d, bc, E)
+            calls = Counter()
+            with monkeypatch.context() as m:
+                _count_calls(m, spectral.count_leq, calls)
+                want = int(np.searchsorted(eigs, 1e-12 * width, side="right"))
+                assert spectral.count_leq(op, 0.0) == want
+            assert calls["count_leq"] == 2
+
+
+def test_giant_ids_run_logs_no_warning(tmp_path, caplog):
+    """The retries of a supercritical ids run with no integer energy but
+    0 and 4d are the planned shifts at E = 0, logged at DEBUG: the run
+    logs no WARNING from the spectral layer."""
+    cfg = tmp_path / "giant.json"
+    cfg.write_text(json.dumps({"d": 2, "L": 52, "p": 0.8, "seed": 3, "task": "ids",
+                               "grid_points": 16, "grid_refine": 0}))
+    with caplog.at_level("DEBUG", logger="perclap.spectral"):
+        assert main(["ids", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    records = [r for r in caplog.records if r.name == "perclap.spectral"]
+    assert not [r.getMessage() for r in records if r.levelno >= logging.WARNING]
+    shifts = [r.getMessage() for r in records if "is not factored" in r.getMessage()]
+    assert shifts == [f"inertia count at E=0 is not factored, counting at E={1e-12 * 8:.17g}"] * 3
 
 
 def _dense_ldl_count(matrix, E, width):
