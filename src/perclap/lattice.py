@@ -252,12 +252,16 @@ class ShapeEnsemble:
     realization is decomposed once by :func:`clusters`; only its compact
     key material is kept, and no per-cluster :class:`Cluster` is built.
 
-    The keys are compared in bulk over the whole ensemble, on the values
-    that ``canonical_key()`` hashes: clusters are grouped by vertex and
-    edge count, and in each group equal rows of ``[coordinates minus
-    their per-axis minimum | local edges]`` are found by a stable
-    lexsort.  Each distinct key, in first-seen order, gets a read-only
-    representative rebuilt from its first cluster's key material.
+    Isolated vertices are all one shape, so they never enter the key
+    table: they are marked in a mask over all clusters, and their shape
+    takes its id from the first of them.  The keys of the clusters of
+    two or more vertices are compared in bulk over the whole ensemble,
+    on the values that ``canonical_key()`` hashes: clusters are grouped
+    by vertex and edge count, and in each group equal rows of
+    ``[coordinates minus their per-axis minimum | local edges]`` are
+    found by a stable lexsort.  Each distinct key, in first-seen order,
+    gets a read-only representative rebuilt from its first cluster's key
+    material; the isolated shape's is built from its first vertex.
     """
 
     def __init__(self, graphs):
@@ -267,31 +271,85 @@ class ShapeEnsemble:
         self.d = graphs[0].box.d
         if any(g.box.d != self.d for g in graphs):
             raise DomainError("all graphs must share the lattice dimension")
-        keys = _KeyMaterial(self.d, [_key_columns(g.box, clusters(g)) for g in graphs])
+        columns, isolated = [[] for _ in range(6)], None
+        for g in graphs:
+            v = _key_columns(columns, g.box, clusters(g))
+            if isolated is None and v is not None:
+                isolated = _isolated_vertex(g.box, v)
+        keys = _KeyMaterial(self.d, columns)
         firsts, head = keys.first_seen()
         self.shapes = [keys.representative(c) for c in firsts.tolist()]
-        self.order = np.searchsorted(firsts, head)
+        ids = np.searchsorted(firsts, head)
+        self.order = np.empty(keys.multi.size, dtype=np.int64)
+        if isolated is not None:
+            # the isolated shape's slot: where its first cluster falls
+            # among the first clusters of the other shapes
+            keyed = np.flatnonzero(keys.multi)
+            iso = int(np.searchsorted(keyed[firsts], np.argmin(keys.multi)))
+            ids += ids >= iso
+            self.shapes.insert(iso, isolated)
+            self.order[~keys.multi] = iso
+        self.order[keys.multi] = ids
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
         self.n_clusters = self.order.size
         self.total_vertices = sum(g.box.n_vertices for g in graphs)
 
 
-def _key_columns(box, seq):
-    """Per-cluster box side, vertex and edge counts, and the flat vertices
-    and local edges of one realization."""
+def _key_columns(columns, box, seq):
+    """Append the key columns of one realization to ``columns`` and return
+    its first isolated vertex, or None if no cluster is isolated.
+
+    The columns are the box side, vertex and edge counts, flat vertices
+    and local edges of the clusters of two or more vertices, and the
+    mask of those clusters among all.
+    """
     sizes = np.diff(seq.vbounds)
-    side = np.full(sizes.size, box.L, dtype=np.int64)
-    return side, sizes, np.diff(seq.ebounds), seq.order, seq.edges.ravel()
+    multi = sizes > 1
+    kept = sizes[multi]
+    # an isolated vertex has no edge, so every edge is a kept cluster's
+    part = (np.full(kept.size, box.L, dtype=np.int64), kept, np.diff(seq.ebounds)[multi],
+            seq.order[np.repeat(multi, sizes)], seq.edges.ravel(), multi)
+    for column, a in zip(columns, part):
+        column.append(a)
+    return None if multi.all() else int(seq.order[seq.vbounds[np.argmin(multi)]])
+
+
+def _isolated_vertex(box, v):
+    """A read-only Cluster of the single vertex v of box."""
+    vertices = np.array([v], dtype=np.int64)
+    coords = box.coords(vertices)
+    edges = np.empty((0, 2), dtype=np.int64)
+    degrees = np.zeros(1, dtype=np.int64)
+    _readonly(vertices, coords, edges, degrees)
+    return Cluster(box.d, vertices, coords, edges, degrees)
+
+
+def _join(parts):
+    """Concatenate a list of 1-D arrays, emptying the list as each part is
+    copied, so no part outlives its copy."""
+    out = np.empty(sum(a.size for a in parts), dtype=parts[0].dtype)
+    at = 0
+    while parts:
+        a = parts.pop(0)
+        out[at:at + a.size] = a
+        at += a.size
+    return out
 
 
 class _KeyMaterial:
-    """Global vertices, box side and local edges of every cluster of an
-    ensemble, in cluster order: what ``canonical_key()`` is made of."""
+    """Global vertices, box side and local edges of every cluster of two
+    or more vertices of an ensemble, in cluster order: what
+    ``canonical_key()`` is made of.  ``multi`` marks those clusters among
+    all clusters of the ensemble; the isolated ones have no key columns.
 
-    def __init__(self, d, parts):
+    ``columns`` holds one list of per-realization arrays per column; each
+    list is emptied as it is joined.
+    """
+
+    def __init__(self, d, columns):
         self.d = d
-        self.side, self.sizes, self.esizes, self.vertices, self.edges = (
-            np.concatenate(column) for column in zip(*parts))
+        self.side, self.sizes, self.esizes, self.vertices, self.edges, self.multi = (
+            _join(column) for column in columns)
         self.vstart = np.cumsum(self.sizes) - self.sizes
         self.estart = 2 * (np.cumsum(self.esizes) - self.esizes)
 
@@ -306,8 +364,8 @@ class _KeyMaterial:
         return np.concatenate((shifted, ecols), axis=1)
 
     def first_seen(self):
-        """Clusters that first show their key, ascending, and for every
-        cluster the first cluster with its key."""
+        """Keyed clusters that first show their key, ascending, and for
+        every keyed cluster the first one with its key."""
         n = self.sizes.size
         head = np.arange(n, dtype=np.int64)
         by_group = np.lexsort((self.esizes, self.sizes))
@@ -318,11 +376,7 @@ class _KeyMaterial:
             if hi - lo < 2:
                 continue
             members = by_group[lo:hi]  # ascending: the lexsort is stable
-            size = int(g_n[lo])
-            if size == 1:  # isolated vertices are all one shape
-                head[members] = members[0]
-                continue
-            rows = self.rows(members, size, int(g_ne[lo]))
+            rows = self.rows(members, int(g_n[lo]), int(g_ne[lo]))
             idx = np.lexsort(rows.T)
             ranked = rows[idx]
             new = np.ones(idx.size, dtype=bool)
@@ -332,7 +386,8 @@ class _KeyMaterial:
         return np.flatnonzero(head == np.arange(n)), head
 
     def representative(self, c):
-        """A read-only Cluster rebuilt from the key material of cluster c."""
+        """A read-only Cluster rebuilt from the key material of keyed
+        cluster c."""
         n, ne = int(self.sizes[c]), int(self.esizes[c])
         vertices = self.vertices[self.vstart[c]:self.vstart[c] + n].copy()
         edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).copy()

@@ -11,6 +11,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import kernels
 from .config import ExperimentConfig
 from .exceptions import DomainError, InsufficientDataError, PerclapError
@@ -91,7 +93,8 @@ def _report_row(rep) -> str:
 
 
 def _run_verify(cfg, ensemble, grid, outputs, out, cache):
-    rows = {}  # shape id -> report.csv row, for shapes with a report
+    rows = np.empty(len(ensemble.shapes), dtype=object)  # shape id -> report.csv row
+    has_row = np.zeros(len(ensemble.shapes), dtype=bool)
     violations = dict.fromkeys(VIOLATION_KINDS, 0)
     fk_min = None
     for sid, (c, m) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist())):
@@ -102,8 +105,10 @@ def _run_verify(cfg, ensemble, grid, outputs, out, cache):
             continue
         fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
         rows[sid] = _report_row(rep)
+        has_row[sid] = True
+    order = ensemble.order
     lines = ["size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"]
-    lines += [rows[s] for s in ensemble.order.tolist() if s in rows]
+    lines += rows[order[has_row[order]]].tolist()
     outputs["report.csv"] = _write_text(out / "report.csv", "\n".join(lines) + "\n")
     summary = {
         "clusters_checked": ensemble.n_clusters,

@@ -1,5 +1,7 @@
 """Lattice geometry, sampling, and cluster decomposition tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -384,12 +386,20 @@ def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
 @example(2, [(5, 0.3, 1), (8, 0.3, 2), (1, 0.5, 3)])
 @example(3, [(2, 0.0, 4), (2, 1.0, 5)])
 @example(3, [(2, 0.3, 1), (4, 0.3, 2)])
+@example(2, [(3, 1.0, 1), (3, 0.0, 2)])
+@example(2, [(12, 0.8, 3), (5, 0.3, 1)])
+@example(2, [(4, 0.0, 1), (3, 0.0, 2)])
 def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realizations):
     """Mixed box sides in one ensemble, p from 0 to 1: groups of one
     member, isolated vertices, and one shape in boxes of different sides
     all reach the bulk key.  A z-pair of the side-2 box and a y-pair of
     the side-4 box both have vertex offset 4 and edge [0 1], but their
-    shifted coordinates differ, so they are different shapes."""
+    shifted coordinates differ, so they are different shapes.
+
+    The isolated shape is keyed apart from the others, so its slot is
+    checked where it is first seen in a later realization (p = 1, then
+    p = 0), after a giant cluster 0 (p = 0.8, as in the d2_giant
+    workload), and as the only shape (p = 0 alone)."""
     graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
     ensemble = ShapeEnsemble(graphs)
     cs = [c for g in graphs for c in _reference_clusters(g)]
@@ -401,3 +411,26 @@ def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realiz
     assert len(ensemble.shapes) == max(want) + 1
     for sid, rep in enumerate(ensemble.shapes):
         _assert_same_cluster(rep, cs[want.index(sid)])
+    isolated = [i for i, c in enumerate(cs) if c.n_vertices == 1]
+    if isolated:
+        iso = want[isolated[0]]
+        _assert_same_cluster(ensemble.shapes[iso], cs[isolated[0]])
+        assert ensemble.counts[iso] == len(isolated)
+    if len(isolated) == len(cs):
+        assert ensemble.counts.tolist() == [ensemble.n_clusters]
+
+
+def test_shape_ensemble_traced_peak_on_long_paths():
+    """The shape table of the d1_paths workload's graphs: 280k clusters,
+    70% of them isolated vertices, which get no key columns.  Keying
+    every cluster peaked at 33.3 MB of traced allocations; keying only
+    the clusters of two or more vertices peaks at 17.9 MB."""
+    graphs = [sample_graph(LatticeBox(1, 100_000), 0.3, derive_seed(7, i)) for i in range(4)]
+    tracemalloc.start()
+    try:
+        ensemble = ShapeEnsemble(graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ensemble.n_clusters == 280_061 and len(ensemble.shapes) == 10
+    assert peak <= 24e6, f"traced peak {peak / 1e6:.1f} MB"
