@@ -6,8 +6,9 @@ vertices get a dense array, larger ones a sparse CSC matrix, so no
 n x n array is allocated for a giant cluster unless its dense
 :attr:`SymmetricOperator.spectrum` is asked for.  For the sparse
 inertia counts an operator also keeps :attr:`SymmetricOperator.shifted`,
-a float64 copy in the elimination order of its first factorization,
-whose diagonal is rewritten for each energy.  Dense matrices are
+a float64 copy in the elimination order of its first factorization (or
+one handed over from another operator of the same shape), whose
+diagonal is rewritten for each energy.  Dense matrices are
 filled by :func:`dense_stack`, which builds the matrices of many
 clusters of one size as one ``(m, n, n)`` array for a stacked
 eigensolver call; a single dense :func:`assemble` is its one-cluster

@@ -158,23 +158,22 @@ class ClusterSequence(Sequence):
     """The clusters of one realization, ordered by smallest vertex.
 
     A read-only sequence over the arrays of the one-pass grouping:
-    ``order`` holds the vertices by component (ascending within one),
-    ``coords`` and ``degrees`` follow that order, and ``edges`` holds the
-    open edges in local indices, grouped by component.  Cluster i is
-    ``order[vbounds[i]:vbounds[i + 1]]`` with the edges
+    ``order`` holds the vertices by component (ascending within one) and
+    ``edges`` the open edges in local indices, grouped by component.
+    Cluster i is ``order[vbounds[i]:vbounds[i + 1]]`` with the edges
     ``edges[ebounds[i]:ebounds[i + 1]]``.  A :class:`Cluster` of slices
-    is built only when one is indexed or iterated; a slice of the
-    sequence gives a list of them.
+    is built only when one is indexed or iterated, its coordinates from
+    the box and its degrees from its own edges; a slice of the sequence
+    gives a list of them.
     """
 
-    __slots__ = ("d", "order", "coords", "degrees", "edges", "vbounds", "ebounds")
+    __slots__ = ("box", "d", "order", "edges", "vbounds", "ebounds")
 
-    def __init__(self, d, order, coords, degrees, edges, vbounds, ebounds):
-        _readonly(order, coords, degrees, edges, vbounds, ebounds)
-        self.d = d
+    def __init__(self, box, order, edges, vbounds, ebounds):
+        _readonly(order, edges, vbounds, ebounds)
+        self.box = box
+        self.d = box.d
         self.order = order
-        self.coords = coords
-        self.degrees = degrees
         self.edges = edges
         self.vbounds = vbounds
         self.ebounds = ebounds
@@ -201,19 +200,22 @@ class ClusterSequence(Sequence):
             yield self._cluster(s, t, es, et)
 
     def _cluster(self, s, t, es, et):
-        return Cluster(self.d, self.order[s:t], self.coords[s:t],
-                       self.edges[es:et], self.degrees[s:t])
+        vertices, edges = self.order[s:t], self.edges[es:et]
+        coords = self.box.coords(vertices)
+        # every edge of a component has both ends in it
+        degrees = np.bincount(edges.ravel(), minlength=t - s).astype(np.int64, copy=False)
+        _readonly(coords, degrees)
+        return Cluster(self.d, vertices, coords, edges, degrees)
 
 
 def clusters(graph: PercolationGraph) -> ClusterSequence:
     """Decompose a realization into clusters, ordered by smallest vertex.
 
     The whole realization is grouped in one sorted pass: vertices by
-    component root (ascending within a component), their coordinates and
-    degrees in that order, and the edges, in local indices, stably by
-    root.  The result is a :class:`ClusterSequence` over these read-only
-    arrays, so no cluster can write into another and none is built
-    until it is accessed.
+    component root (ascending within a component) and the edges, in
+    local indices, stably by root.  The result is a
+    :class:`ClusterSequence` over these read-only arrays, so no cluster
+    can write into another and none is built until it is accessed.
     """
     box = graph.box
     nv = box.n_vertices
@@ -226,10 +228,6 @@ def clusters(graph: PercolationGraph) -> ClusterSequence:
     sizes = np.diff(starts, append=nv)
     local = np.empty(nv, dtype=np.int64)
     local[order] = np.arange(nv, dtype=np.int64) - np.repeat(starts, sizes)
-    coords = box.coords(order)
-    degrees = (
-        np.bincount(eu, minlength=nv) + np.bincount(ev, minlength=nv)
-    ).astype(np.int64)[order]
 
     eroots = roots[eu]
     eorder = np.argsort(eroots, kind="stable")
@@ -240,7 +238,7 @@ def clusters(graph: PercolationGraph) -> ClusterSequence:
 
     vbounds = np.append(starts, nv)
     ebounds = np.concatenate(([0], np.cumsum(edge_counts)))
-    return ClusterSequence(box.d, order, coords, degrees, edges, vbounds, ebounds)
+    return ClusterSequence(box, order, edges, vbounds, ebounds)
 
 
 class ShapeEnsemble:

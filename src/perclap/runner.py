@@ -197,7 +197,9 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict = {}
     skipped: dict = {}  # stage or output -> why it was not produced
-    cache = {}  # (bc, cluster shape) -> spectrum, shared by every stage
+    # (bc, cluster shape) -> spectrum, and ("giant", shape) -> grid counts
+    # of a shape above the dense threshold; shared by every stage
+    cache = {}
 
     manifest = {"config": {**cfg.to_dict(), "task": task}, "outputs": outputs,
                 "status": "ok"}

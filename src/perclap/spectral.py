@@ -12,16 +12,24 @@ them.  Shapes above :data:`DENSE_THRESHOLD` are not
 diagonalized up front; :func:`count_leq` counts their eigenvalues at
 each grid energy below 4d from the pivot signs of a sparse SuperLU
 factorization (Sylvester's law of inertia), and at E >= 4d returns the
-vertex count.  The first factorization of an operator fixes its
-elimination order, and later energies are factored in that order
-without ordering again.  Only at an energy where that
-factorization breaks down twice does it read the count off the shape's
-dense spectrum, computed once per operator.  The counting convention is
-right-continuous throughout: N(E) counts eigenvalues <= E.
+vertex count.  Only at an energy where that factorization breaks down
+twice does it read the count off the shape's dense spectrum, computed
+once per operator.
+
+:func:`giant_grid_counts` makes those counts for one such shape and
+keeps them in the run's cache.  Lattice clusters are bipartite, so D
+has the spectrum of 4d - N and Dt that of 4d - Dt (:data:`MIRROR`):
+one clean factorization at E counts its own condition at E and the
+mirror condition at the grid energy paired with 4d - E
+(:func:`mirror_partners`).  The shape's three operators share one
+elimination order, fixed by its first factorization; later energies
+are factored in that order without ordering again.  The counting
+convention is right-continuous throughout: N(E) counts eigenvalues <= E.
 """
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +119,8 @@ def _lu_pivots(op: SymmetricOperator, E: float):
     return lu.U.diagonal()
 
 
-def count_leq(op: SymmetricOperator, E: float, _shift: bool = True) -> int:
+def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
+              report_clean: bool = False):
     """Number of eigenvalues <= E via the inertia of (matrix - E*I).
 
     ``op.matrix`` may be dense or sparse.  For E >= 4d the count is
@@ -134,24 +143,135 @@ def count_leq(op: SymmetricOperator, E: float, _shift: bool = True) -> int:
     pseudo-Dirichlet E = 2d).  The planned integer shift is logged at
     DEBUG, breakdowns and the dense fallback at WARNING.  ``_shift`` is
     internal: False in the shifted call.
+
+    With ``report_clean`` the result is ``(count, clean)``.  ``clean`` is
+    True when the count was read off one factorization at E itself with
+    no pivot near 0: then no eigenvalue equals E, and the other
+    ``op.n - count`` eigenvalues are all > E.
     """
+    clean = False
     if E >= op.spectral_width:
-        return op.n
-    pivots = _lu_pivots(op, E)
-    breakdown = ZERO_TOL_FACTOR * 1e-3 * op.spectral_width  # |pivot| ~ 0
-    if pivots is not None and np.abs(pivots).min() >= breakdown:
-        return int(np.count_nonzero(pivots < 0.0))
-    if _shift:
-        shifted = E + ATOM_TOL_FACTOR * op.spectral_width
-        if _refused(E):
-            log.debug("inertia count at E=%.17g is not factored, counting at E=%.17g",
-                      E, shifted)
+        count = op.n
+    else:
+        pivots = _lu_pivots(op, E)
+        breakdown = ZERO_TOL_FACTOR * 1e-3 * op.spectral_width  # |pivot| ~ 0
+        clean = pivots is not None and bool(np.abs(pivots).min() >= breakdown)
+        if clean:
+            count = int(np.count_nonzero(pivots < 0.0))
+        elif _shift:
+            shifted = E + ATOM_TOL_FACTOR * op.spectral_width
+            if _refused(E):
+                log.debug("inertia count at E=%.17g is not factored, counting at E=%.17g",
+                          E, shifted)
+            else:
+                log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g",
+                            E, shifted)
+            count = count_leq(op, shifted, _shift=False)
         else:
-            log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g",
-                        E, shifted)
-        return count_leq(op, shifted, _shift=False)
-    log.warning("inertia count at E=%.17g broke down, counting the dense spectrum", E)
-    return int(np.searchsorted(op.spectrum, E, side="right"))
+            log.warning("inertia count at E=%.17g broke down, counting the dense spectrum", E)
+            count = int(np.searchsorted(op.spectrum, E, side="right"))
+    return (count, clean) if report_clean else count
+
+
+# On a bipartite cluster, with S = diag((-1)^|x|), S (deg - A) S = deg + A,
+# so D = 4d I - S N S and Dt = 4d I - S Dt S: the spectrum of each
+# condition is 4d minus that of its mirror.
+MIRROR = {
+    BoundaryCondition.NEUMANN: BoundaryCondition.DIRICHLET,
+    BoundaryCondition.PSEUDO_DIRICHLET: BoundaryCondition.PSEUDO_DIRICHLET,
+    BoundaryCondition.DIRICHLET: BoundaryCondition.NEUMANN,
+}
+
+
+def mirror_partners(grid: np.ndarray, d: int) -> np.ndarray:
+    """For each grid energy E, the index of the grid energy nearest 4d - E,
+    or -1 if none lies within ``ATOM_TOL_FACTOR * 4d`` of it.
+
+    A tolerance, not equality: ``linspace`` is not bitwise symmetric, and
+    on the default grids a partner sits up to 2 ulps off 4d - E.
+    """
+    width = 4 * d
+    order = np.argsort(grid, kind="stable")
+    ranked = grid[order]
+    target = width - grid
+    pos = np.searchsorted(ranked, target)
+    lo = np.clip(pos - 1, 0, ranked.size - 1)
+    hi = np.clip(pos, 0, ranked.size - 1)
+    nearest = order[np.where(np.abs(ranked[hi] - target) < np.abs(ranked[lo] - target), hi, lo)]
+    return np.where(np.abs(grid[nearest] - target) <= ATOM_TOL_FACTOR * width, nearest, -1)
+
+
+@dataclass
+class GiantCounts:
+    """Grid counts of one shape above :data:`DENSE_THRESHOLD`, shared by
+    its three operators through the run's cache."""
+
+    perm: np.ndarray | None = None  # elimination order of the shape's first factorization
+    counts: dict = field(default_factory=dict)  # (bc value, E) -> eigenvalues <= E
+    mirrored: set = field(default_factory=set)  # keys of counts read off a mirror's pivots
+
+
+def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
+                      cache) -> np.ndarray:
+    """Eigenvalues <= E of one shape above the dense threshold under ``bc``,
+    at every energy of ``grid``, as an int64 array.
+
+    The shape's counts and elimination order are kept in ``cache`` under
+    ``("giant", cluster.canonical_key())`` (a :class:`GiantCounts`), so
+    a later call for any boundary condition reads what an earlier one
+    found.  The first factorization of any of the shape's operators fixes
+    the elimination order of all three.
+
+    Each energy below 4d is counted by :func:`count_leq`.  One clean
+    factorization there (see its ``report_clean``) also counts the mirror
+    condition (:data:`MIRROR`) at the partner energy g ~ 4d - E of
+    :func:`mirror_partners`: its count there is n - count, when g is not
+    an integer.  For a pseudo-Dirichlet energy E < 2d the partner is
+    above 2d; those are counted last, so they are read off their
+    partner's factorization rather than factored.  Integer energies,
+    unpaired ones and partners of unclean factorizations keep
+    :func:`count_leq` with its shifted retry and dense fallback.
+    """
+    d, n = cluster.d, cluster.n_vertices
+    shape = cache.setdefault(("giant", cluster.canonical_key()), GiantCounts())
+    mirror = MIRROR[bc]
+    partners = mirror_partners(grid, d)
+    out = np.empty(grid.size, dtype=np.int64)
+    op = None
+    tally = Counter()
+    for i in np.argsort(grid > 2 * d, kind="stable").tolist():
+        E = float(grid[i])
+        key = (bc.value, E)
+        if key in shape.counts:
+            out[i] = shape.counts[key]
+            tally["mirrored" if key in shape.mirrored else "cached"] += 1
+            continue
+        if E >= 4 * d:
+            out[i] = n
+            tally["unfactored"] += 1
+        else:
+            if op is None:
+                op = assemble(cluster, bc)
+                if shape.perm is not None:
+                    op.shifted.reorder(shape.perm)
+            out[i], clean = count_leq(op, E, report_clean=True)
+            tally["factored" if clean else "shifted"] += 1
+            j = int(partners[i])
+            if clean and j >= 0:
+                g = float(grid[j])
+                mkey = (mirror.value, g)
+                if (not _refused(g) and mkey not in shape.counts
+                        and (mirror is not bc or E < 2 * d < g)):
+                    shape.counts[mkey] = n - int(out[i])  # the eigenvalues > E
+                    shape.mirrored.add(mkey)
+        shape.counts[key] = int(out[i])
+    if op is not None and shape.perm is None:
+        shape.perm = op.shifted.perm
+    log.debug("bc %s, giant shape of %d vertices: %d energies factored, %d mirrored, "
+              "%d shifted, %d unfactored (E >= 4d), %d cached",
+              bc.value, n, tally["factored"], tally["mirrored"], tally["shifted"],
+              tally["unfactored"], tally["cached"])
+    return out
 
 
 _SPECTRUM_CACHE: dict = {}
@@ -338,8 +458,7 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
     spectra = shape_spectra(ensemble, bc, cache)
     for c, m, eigs in zip(ensemble.shapes, ensemble.counts, spectra):
         if eigs is None:
-            op = assemble(c, bc)
-            inertia = m * np.array([count_leq(op, E) for E in grid], dtype=np.int64)
+            inertia = m * giant_grid_counts(c, bc, grid, cache)
             extra = inertia if extra is None else extra + inertia
         else:
             pools.append(np.tile(eigs, m))

@@ -293,7 +293,7 @@ def test_cluster_sequence_indexing_matches_reference(oracle_graph):
             seq[i]
     with pytest.raises(TypeError):
         seq[1.0]
-    for name in ("order", "coords", "degrees", "edges", "vbounds", "ebounds"):
+    for name in ("order", "edges", "vbounds", "ebounds"):
         a = getattr(seq, name)
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):

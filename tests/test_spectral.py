@@ -39,6 +39,8 @@ from perclap.spectral import (
     chain_holds,
     cluster_eigenvalues,
     cluster_spectra,
+    giant_grid_counts,
+    mirror_partners,
     range_violations,
     reflection_deviation,
     shape_spectra,
@@ -372,6 +374,179 @@ def test_count_leq_retries_are_bounded(tmp_path, monkeypatch):
     assert max(c.n_vertices for c in clusters(graph)) > DENSE_THRESHOLD
     zero_modes = len(clusters(graph)) / graph.box.n_vertices
     assert (out / "ids_N.csv").read_text() == f"E,N\n0,{zero_modes:.17g}\n8,1\n"
+
+
+# the d2_giant benchmark workload: one 2,698-vertex cluster, 16 energies
+D2_GIANT = {"d": 2, "L": 52, "p": 0.8, "seed": 3, "task": "ids",
+            "grid_points": 16, "grid_refine": 0}
+
+
+def _recording_splu(monkeypatch):
+    """The column-order spec of every SuperLU call, in call order."""
+    import scipy.sparse.linalg
+
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(a, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return specs
+
+
+def test_mirror_partners_pair_within_the_atom_tolerance():
+    grid = np.linspace(0.0, 8.0, 16)
+    assert (8.0 - grid != grid[::-1]).any()  # linspace is not bitwise symmetric
+    assert mirror_partners(grid, 2).tolist() == list(range(15, -1, -1))
+    assert (mirror_partners(grid + 1e-3, 2) == -1).all()
+    tol = 1e-12 * 8
+    assert mirror_partners(np.array([1.5, 6.5 + 0.5 * tol]), 2).tolist() == [1, 0]
+    assert mirror_partners(np.array([1.5, 6.5 + 2 * tol]), 2).tolist() == [-1, -1]
+    # the nearest of two candidates
+    assert mirror_partners(np.array([1.5, 6.5 - 0.5 * tol, 6.5 + 0.25 * tol]), 2)[0] == 2
+
+
+@pytest.mark.parametrize("points, refine", [(512, 40), (16, 0)])
+def test_mirrored_giant_counts_match_dense_and_fresh_operators(giant_clusters, points, refine):
+    """A count read off the mirror condition's factorization at 4d - E
+    equals count_leq on an operator that factored nothing before, and the
+    dense count with the 1e-12 * 4d snap.  Where an eigenvalue lies within
+    the snap above E (Dirichlet 4d at E = 4d - 4d * 2^-40 on the default
+    grid), the direct count leaves it out as well, so the dense oracle
+    only bounds the count there."""
+    for c, spectra in giant_clusters:
+        snap = 1e-12 * 4 * c.d
+        grid = default_grid(c.d, points, refine)
+        cache = {}
+        counts = {bc: giant_grid_counts(c, bc, grid, cache) for bc in ALL_BCS}
+        shape = cache[("giant", c.canonical_key())]
+        assert len(shape.mirrored) > grid.size
+        fresh = {bc: assemble(c, bc) for bc in ALL_BCS}
+        for bc_value, E in sorted(shape.mirrored):
+            bc = BoundaryCondition(bc_value)
+            got = shape.counts[(bc_value, E)]
+            assert got == count_leq(fresh[bc], E), (c.d, bc, E)
+            lo, hi = np.searchsorted(spectra[bc], [E - snap, E + snap], side="right")
+            assert lo <= got <= hi, (c.d, bc, E)
+        for bc in ALL_BCS:
+            assert counts[bc].tolist() == [shape.counts[(bc.value, float(E))] for E in grid]
+
+
+def test_integer_energy_is_never_mirrored(giant_clusters):
+    """An integer energy is counted by count_leq at its shifted energy, so
+    neither its count nor its partner's is read off the other's
+    factorization, even where the partner is no integer.  Here Dirichlet
+    has 4d in its spectrum and the rest of it at least 1 away from 0, so
+    Neumann factors cleanly at 4d - 8 ulps and at 0 + 1e-12 * 4d.  The
+    Dirichlet eigenvalue 4d lies within the snap above 4d - 8 ulps, so
+    the dense oracle only bounds that count."""
+    c, spectra = giant_clusters[0]
+    width = 4 * c.d
+    assert spectra[D][0] > 1.0 and spectra[D][-1] == pytest.approx(width, abs=1e-12)
+    grid = np.array([0.0, width - 8 * np.spacing(float(width))])
+    assert mirror_partners(grid, c.d).tolist() == [1, 0]
+    cache = {}
+    for bc in (N, D):
+        got = giant_grid_counts(c, bc, grid, cache).tolist()
+        assert got == [count_leq(assemble(c, bc), float(E)) for E in grid], bc
+        lo = np.searchsorted(spectra[bc], grid - 1e-12 * width, side="right")
+        hi = np.searchsorted(spectra[bc], grid + 1e-12 * width, side="right")
+        assert (lo <= got).all() and (got <= hi).all(), bc
+    assert cache[("giant", c.canonical_key())].mirrored == set()
+
+
+def test_giant_dirichlet_ids_identical_for_every_bc_list(tmp_path, monkeypatch):
+    """Whichever condition asks first factors a mirrored pair: Dirichlet
+    alone factors its own energies, after Neumann it reads them off the
+    Neumann pivots, and ids_D.csv is the same bytes.  No list factors more
+    than one operator per condition does (15 times on this grid), and each
+    shape is ordered once."""
+    specs = _recording_splu(monkeypatch)
+    written = set()
+    for bcs, factored in ((["D"], 15), (["D", "N"], 16), (["N", "Dt", "D"], 24)):
+        specs.clear()
+        cfg = tmp_path / "giant.json"
+        cfg.write_text(json.dumps({**D2_GIANT, "boundary_conditions": bcs}))
+        out = tmp_path / "-".join(bcs)
+        assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 0
+        written.add((out / "ids_D.csv").read_bytes())
+        assert (len(specs), specs.count("MMD_AT_PLUS_A")) == (factored, 1), bcs
+    assert len(written) == 1
+
+
+def test_broken_down_partner_is_not_mirrored(giant_clusters, monkeypatch):
+    """A Neumann factorization that breaks down is retried at a shifted
+    energy and mirrors nothing: its Dirichlet partner is factored itself."""
+    c, spectra = giant_clusters[0]
+    snap = 1e-12 * 4 * c.d
+    grid = default_grid(c.d, 16, 0)
+    g, E = float(grid[3]), float(grid[12])
+    pivots = spectral._lu_pivots
+
+    def breaking(op, energy):
+        got = pivots(op, energy)
+        return np.zeros_like(got) if op.bc is N and energy == g else got
+
+    monkeypatch.setattr(spectral, "_lu_pivots", breaking)
+    cache = {}
+    count_n = giant_grid_counts(c, N, grid, cache)
+    assert count_n[3] == np.searchsorted(spectra[N], g + snap, side="right")
+    shape = cache[("giant", c.canonical_key())]
+    assert ("D", E) not in shape.counts
+    specs = _recording_splu(monkeypatch)
+    count_d = giant_grid_counts(c, D, grid, cache)
+    assert specs == ["NATURAL"] * 2  # E = 0 at its shifted energy, and E
+    want = np.searchsorted(spectra[D], grid + snap, side="right")
+    assert count_d.tolist() == want.tolist()
+    assert count_d[12] == count_leq(assemble(c, D), E)
+
+
+def test_giant_grid_off_symmetry_factors_as_often_as_fresh_operators(giant_clusters, monkeypatch):
+    """With no mirrored pair a shape's three operators factor every energy
+    below 4d, as one operator per condition does, but order the shape's
+    columns once instead of three times.  A second call reads the cache."""
+    specs = _recording_splu(monkeypatch)
+    for c, spectra in giant_clusters:
+        grid = default_grid(c.d, 16, 0) + 1e-3
+        assert (mirror_partners(grid, c.d) == -1).all()
+        specs.clear()
+        cache = {}
+        counts = {bc: giant_grid_counts(c, bc, grid, cache).tolist() for bc in ALL_BCS}
+        shared = list(specs)
+        specs.clear()
+        for bc, eigs in spectra.items():
+            op = assemble(c, bc)
+            assert counts[bc] == [count_leq(op, float(E)) for E in grid], (c.d, bc)
+            want = np.searchsorted(eigs, grid + 1e-12 * 4 * c.d, side="right")
+            assert counts[bc] == want.tolist(), (c.d, bc)
+        assert len(shared) == len(specs) == 3 * (grid.size - 1)
+        assert (shared.count("MMD_AT_PLUS_A"), specs.count("MMD_AT_PLUS_A")) == (1, 3)
+        specs.clear()
+        assert giant_grid_counts(c, N, grid, cache).tolist() == counts[N]
+        assert specs == []
+
+
+def test_d2_giant_run_factors_24_times_and_logs_each_bc(tmp_path, monkeypatch, caplog):
+    """On the d2_giant workload Neumann factors its 15 energies below 4d
+    (E = 0 at its shifted energy), pseudo-Dirichlet the 8 up to 2d, and
+    Dirichlet only its shifted E = 0; every other count is read off a
+    mirror's factorization.  One SuperLU call orders the columns."""
+    specs = _recording_splu(monkeypatch)
+    cfg = tmp_path / "giant.json"
+    cfg.write_text(json.dumps(D2_GIANT))
+    with caplog.at_level("DEBUG", logger="perclap.spectral"):
+        assert main(["ids", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(specs) == 24 and specs.count("MMD_AT_PLUS_A") == 1
+    graph = sample_graph(LatticeBox(2, 52), 0.8, derive_seed(3, 0))
+    n = max(c.n_vertices for c in clusters(graph))
+    lines = [r.getMessage() for r in caplog.records if "giant shape" in r.getMessage()]
+    assert lines == [
+        f"bc {bc}, giant shape of {n} vertices: {factored} energies factored, "
+        f"{mirrored} mirrored, 1 shifted, 1 unfactored (E >= 4d), 0 cached"
+        for bc, factored, mirrored in (("N", 14, 0), ("Dt", 7, 7), ("D", 0, 14))
+    ]
 
 
 def test_zero_mode_density_equals_cluster_density(small_ensemble):
