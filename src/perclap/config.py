@@ -12,7 +12,8 @@ from .exceptions import ConfigurationError
 
 TASKS = ("ids", "verify", "tails", "decay", "all")
 BC_NAMES = ("N", "Dt", "D")
-# scipy.sparse.csgraph labels vertices with int32
+# cluster labeling and the shape table's key columns and rows hold
+# vertex indices and coordinates as int32
 MAX_VERTICES = 2**31 - 1
 # the counter-based RNG keys on a uint64 seed; a larger seed would alias
 MAX_SEED = 2**64 - 1
@@ -144,7 +145,7 @@ def validate(cfg: ExperimentConfig) -> list:
             problems.append(
                 f"box L**d = {cfg.L}**{cfg.d} exceeds {MAX_VERTICES} vertices"
             )
-        # every realization is sampled before any is decomposed
+        # the shape table keeps the key columns of every realization
         elif (_is_int(cfg.L) and _is_int(cfg.realizations)
               and cfg.realizations * cfg.L ** cfg.d > MAX_VERTICES):
             problems.append(

@@ -75,19 +75,32 @@ def edge_open_mask(seed: int, n: int, p: float) -> np.ndarray:
 
 
 def component_roots(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Root (minimal vertex) of each vertex's connected component."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Root (minimal vertex) of each vertex's connected component, as int32.
 
-    if eu.size == 0:
-        return np.arange(n_vertices, dtype=np.int64)
-    adj = coo_matrix(
-        (np.ones(eu.size, dtype=np.int8), (eu, ev)), shape=(n_vertices, n_vertices)
-    )
-    _, labels = connected_components(adj, directed=False)
-    minvert = np.full(labels.max() + 1, n_vertices, dtype=np.int64)
-    np.minimum.at(minvert, labels, np.arange(n_vertices, dtype=np.int64))
-    return minvert[labels]
+    Hook-and-compress labeling (Shiloach and Vishkin, J. Algorithms 3,
+    1982): in each round every edge whose ends have different roots
+    hooks the larger root to the smaller one (``np.minimum.at``), and
+    ``parent = parent[parent]`` then runs until every vertex points at a
+    root.  Roots only ever decrease and every round hooks at least one
+    root, so labeling ends with each root the minimal vertex of its
+    component.  Edges already inside one component leave the work list.
+    Vertex indices are below 2**31 (``config.MAX_VERTICES``).
+    """
+    parent = np.arange(n_vertices, dtype=np.int32)
+    u, v = eu, ev
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        active = ru != rv
+        if not active.any():
+            break
+        u, v, ru, rv = u[active], v[active], ru[active], rv[active]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
 
 
 def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.ndarray,

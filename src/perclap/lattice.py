@@ -242,38 +242,44 @@ def clusters(graph: PercolationGraph) -> ClusterSequence:
 
 
 class ShapeEnsemble:
-    """The clusters of a list of realizations as a table of distinct shapes.
+    """The clusters of realizations as a table of distinct shapes.
 
-    ``shapes`` holds one representative per ``canonical_key()`` in
-    first-seen order, ``counts`` its multiplicity and ``order`` the shape
-    id of every cluster in realization and cluster order.  Each
-    realization is decomposed once by :func:`clusters`; only its compact
-    key material is kept, and no per-cluster :class:`Cluster` is built.
+    ``graphs`` is any iterable of realizations of one dimension; it is
+    read once, so a generator streams them and only one realization is
+    held at a time.  ``shapes`` holds one representative per
+    ``canonical_key()`` in first-seen order, ``counts`` its multiplicity
+    and ``order`` the shape id of every cluster in realization and
+    cluster order.  Each realization is decomposed once by
+    :func:`clusters`; only its compact int32 key material is kept, and no
+    per-cluster :class:`Cluster` is built.
 
     Isolated vertices are all one shape, so they never enter the key
     table: they are marked in a mask over all clusters, and their shape
     takes its id from the first of them.  The keys of the clusters of
     two or more vertices are compared in bulk over the whole ensemble,
     on the values that ``canonical_key()`` hashes: clusters are grouped
-    by vertex and edge count, and in each group equal rows of
-    ``[coordinates minus their per-axis minimum | local edges]`` are
-    found by a stable lexsort.  Each distinct key, in first-seen order,
-    gets a read-only representative rebuilt from its first cluster's key
-    material; the isolated shape's is built from its first vertex.
+    by vertex and edge count, and in each group equal int32 rows of
+    coordinates minus their per-axis minimum and local edges are found
+    by a stable lexsort.  Each distinct key, in first-seen order, gets a
+    read-only representative rebuilt from its first cluster's key
+    material, with int64 arrays as every :class:`Cluster` has; the
+    isolated shape's is built from its first vertex.
     """
 
     def __init__(self, graphs):
-        graphs = list(graphs)
-        if not graphs:
-            raise DomainError("an ensemble needs at least one graph")
-        self.d = graphs[0].box.d
-        if any(g.box.d != self.d for g in graphs):
-            raise DomainError("all graphs must share the lattice dimension")
+        self.d, self.total_vertices = None, 0
         columns, isolated = [[] for _ in range(6)], None
         for g in graphs:
+            if self.d is None:
+                self.d = g.box.d
+            elif g.box.d != self.d:
+                raise DomainError("all graphs must share the lattice dimension")
+            self.total_vertices += g.box.n_vertices
             v = _key_columns(columns, g.box, clusters(g))
             if isolated is None and v is not None:
                 isolated = _isolated_vertex(g.box, v)
+        if self.d is None:
+            raise DomainError("an ensemble needs at least one graph")
         keys = _KeyMaterial(self.d, columns)
         firsts, head = keys.first_seen()
         self.shapes = [keys.representative(c) for c in firsts.tolist()]
@@ -290,7 +296,6 @@ class ShapeEnsemble:
         self.order[keys.multi] = ids
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
         self.n_clusters = self.order.size
-        self.total_vertices = sum(g.box.n_vertices for g in graphs)
 
 
 def _key_columns(columns, box, seq):
@@ -299,14 +304,17 @@ def _key_columns(columns, box, seq):
 
     The columns are the box side, vertex and edge counts, flat vertices
     and local edges of the clusters of two or more vertices, and the
-    mask of those clusters among all.
+    mask of those clusters among all.  Box side, vertices and edges are
+    int32, as a box holds at most ``config.MAX_VERTICES`` = 2**31 - 1
+    vertices.
     """
     sizes = np.diff(seq.vbounds)
     multi = sizes > 1
     kept = sizes[multi]
     # an isolated vertex has no edge, so every edge is a kept cluster's
-    part = (np.full(kept.size, box.L, dtype=np.int64), kept, np.diff(seq.ebounds)[multi],
-            seq.order[np.repeat(multi, sizes)], seq.edges.ravel(), multi)
+    part = (np.full(kept.size, box.L, dtype=np.int32), kept, np.diff(seq.ebounds)[multi],
+            seq.order[np.repeat(multi, sizes)].astype(np.int32),
+            seq.edges.ravel().astype(np.int32), multi)
     for column, a in zip(columns, part):
         column.append(a)
     return None if multi.all() else int(seq.order[seq.vbounds[np.argmin(multi)]])
@@ -334,6 +342,10 @@ def _join(parts):
     return out
 
 
+# row entries of the sorted key rows compared at a time in first_seen
+_COMPARE_ITEMS = 1 << 16
+
+
 class _KeyMaterial:
     """Global vertices, box side and local edges of every cluster of two
     or more vertices of an ensemble, in cluster order: what
@@ -352,18 +364,27 @@ class _KeyMaterial:
         self.estart = 2 * (np.cumsum(self.esizes) - self.esizes)
 
     def rows(self, members, n, ne):
-        """Key rows ``[shifted coords | edges]`` of clusters with n
-        vertices and ne edges."""
+        """Int32 key rows of clusters with n vertices and ne edges: the
+        coordinates minus their per-cluster minimum, axis by axis, then
+        the local edges.  Two rows are equal exactly when the clusters'
+        ``canonical_key()`` values are."""
+        rows = np.empty((members.size, self.d * n + 2 * ne), dtype=np.int32)
         vertices = self.vertices[self.vstart[members, None] + np.arange(n)]
-        side = self.side[members, None, None]
-        coords = vertices[..., None] // side ** np.arange(self.d) % side
-        shifted = (coords - coords.min(axis=1, keepdims=True)).reshape(members.size, -1)
-        ecols = self.edges[self.estart[members, None] + np.arange(2 * ne)]
-        return np.concatenate((shifted, ecols), axis=1)
+        side = self.side[members, None]
+        for axis in range(self.d):
+            coord = vertices // side ** axis % side
+            rows[:, axis * n:(axis + 1) * n] = coord - coord.min(axis=1, keepdims=True)
+        rows[:, self.d * n:] = self.edges[self.estart[members, None] + np.arange(2 * ne)]
+        return rows
 
     def first_seen(self):
         """Keyed clusters that first show their key, ascending, and for
-        every keyed cluster the first one with its key."""
+        every keyed cluster the first one with its key.
+
+        Equal rows are adjacent in the stable lexsort order.  They are
+        found by comparing neighbours in that order, a block of at most
+        ``_COMPARE_ITEMS`` row entries at a time, so no sorted copy of
+        the rows is made."""
         n = self.sizes.size
         head = np.arange(n, dtype=np.int64)
         by_group = np.lexsort((self.esizes, self.sizes))
@@ -376,9 +397,12 @@ class _KeyMaterial:
             members = by_group[lo:hi]  # ascending: the lexsort is stable
             rows = self.rows(members, int(g_n[lo]), int(g_ne[lo]))
             idx = np.lexsort(rows.T)
-            ranked = rows[idx]
-            new = np.ones(idx.size, dtype=bool)
-            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            new = np.zeros(idx.size, dtype=bool)
+            new[0] = True
+            width = max(1, _COMPARE_ITEMS // idx.size)
+            for col in range(0, rows.shape[1], width):
+                ranked = rows[idx, col:col + width]
+                new[1:] |= (ranked[1:] != ranked[:-1]).any(axis=1)
             run = np.cumsum(new) - 1
             head[members[idx]] = members[idx[new]][run]
         return np.flatnonzero(head == np.arange(n)), head
@@ -387,8 +411,8 @@ class _KeyMaterial:
         """A read-only Cluster rebuilt from the key material of keyed
         cluster c."""
         n, ne = int(self.sizes[c]), int(self.esizes[c])
-        vertices = self.vertices[self.vstart[c]:self.vstart[c] + n].copy()
-        edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).copy()
+        vertices = self.vertices[self.vstart[c]:self.vstart[c] + n].astype(np.int64)
+        edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).astype(np.int64)
         coords = LatticeBox(self.d, int(self.side[c])).coords(vertices)
         degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
         _readonly(vertices, coords, edges, degrees)

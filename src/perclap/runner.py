@@ -37,10 +37,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_chunks(path: Path, chunks) -> str:
+    """Write the text chunks in order; the SHA-256 of the file's bytes."""
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for text in chunks:
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
 def _write_text(path: Path, text: str) -> str:
-    data = text.encode()
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    return _write_chunks(path, (text,))
 
 
 def _write_json(path: Path, obj) -> str:
@@ -54,12 +63,19 @@ def _ids_csv(ids) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sample_ensemble(cfg: ExperimentConfig):
+def _sample_ensemble(cfg: ExperimentConfig, outputs, out) -> ShapeEnsemble:
+    """Sample the realizations and decompose each into the shape table as
+    it is drawn, so only one realization is held at a time; with
+    ``emit_graph`` they are listed and each is written out first."""
     box = LatticeBox(cfg.d, cfg.L)
-    return [
-        sample_graph(box, cfg.p, kernels.derive_seed(cfg.seed, i))
-        for i in range(cfg.realizations)
-    ]
+    graphs = (sample_graph(box, cfg.p, kernels.derive_seed(cfg.seed, i))
+              for i in range(cfg.realizations))
+    if cfg.emit_graph:
+        graphs = list(graphs)
+        for i, g in enumerate(graphs):
+            fname = f"graph_r{i:04d}.json"
+            outputs[fname] = _write_json(out / fname, graph_to_json_dict(g))
+    return ShapeEnsemble(graphs)
 
 
 def _run_ids(cfg, ensemble, grid, outputs, out, cache):
@@ -92,6 +108,10 @@ def _report_row(rep) -> str:
     )
 
 
+# clusters per chunk of report.csv rows joined and written at a time
+_REPORT_CHUNK = 1 << 14
+
+
 def _run_verify(cfg, ensemble, grid, outputs, out, cache):
     rows = np.empty(len(ensemble.shapes), dtype=object)  # shape id -> report.csv row
     has_row = np.zeros(len(ensemble.shapes), dtype=bool)
@@ -106,10 +126,14 @@ def _run_verify(cfg, ensemble, grid, outputs, out, cache):
         fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
         rows[sid] = _report_row(rep)
         has_row[sid] = True
-    order = ensemble.order
-    lines = ["size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio"]
-    lines += rows[order[has_row[order]]].tolist()
-    outputs["report.csv"] = _write_text(out / "report.csv", "\n".join(lines) + "\n")
+
+    def lines():
+        yield "size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio\n"
+        for lo in range(0, ensemble.order.size, _REPORT_CHUNK):
+            sids = ensemble.order[lo:lo + _REPORT_CHUNK]
+            yield "".join(f"{row}\n" for row in rows[sids[has_row[sids]]].tolist())
+
+    outputs["report.csv"] = _write_chunks(out / "report.csv", lines())
     summary = {
         "clusters_checked": ensemble.n_clusters,
         "violations": violations,
@@ -208,12 +232,7 @@ def run(cfg: ExperimentConfig, out_dir, task: str | None = None) -> dict:
         needs_graphs = task in ("ids", "verify", "all") or (
             task == "tails" and cfg.tail_mode == "mc"
         )
-        graphs = _sample_ensemble(cfg) if needs_graphs else []
-        if cfg.emit_graph:
-            for i, g in enumerate(graphs):
-                fname = f"graph_r{i:04d}.json"
-                outputs[fname] = _write_json(out / fname, graph_to_json_dict(g))
-        ensemble = ShapeEnsemble(graphs) if graphs else None
+        ensemble = _sample_ensemble(cfg, outputs, out) if needs_graphs else None
         if task in ("ids", "all"):
             _run_ids(cfg, ensemble, grid, outputs, out, cache)
         if task in ("verify", "all"):

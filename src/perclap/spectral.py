@@ -11,8 +11,8 @@ the translation-invariant canonical key, so the stages of a run share
 them.  Shapes above :data:`DENSE_THRESHOLD` are not
 diagonalized up front; :func:`count_leq` counts their eigenvalues at
 each grid energy below 4d from the pivot signs of a sparse SuperLU
-factorization (Sylvester's law of inertia), and at E >= 4d returns the
-vertex count.  Only at an energy where that factorization breaks down
+factorization (Sylvester's law of inertia), and at E >= 4d (1 - 1e-12)
+returns the vertex count, as the pooled IDS's snap does.  Only at an energy where that factorization breaks down
 twice does it read the count off the shape's dense spectrum, computed
 once per operator.
 
@@ -119,13 +119,24 @@ def _lu_pivots(op: SymmetricOperator, E: float):
     return lu.U.diagonal()
 
 
+def _counts_all(E: float, width: float) -> bool:
+    """True where every eigenvalue counts: E >= 4d - 1e-12 * 4d.
+
+    By Gershgorin every N, Dt and D spectrum lies in [0, 4d], and an
+    eigenvalue at 4d (Dirichlet has one on every cluster, the mirror of
+    the Neumann zero mode) is within the snap of such an E, which the
+    pooled IDS counts.  A factorization there would leave it out.
+    """
+    return E >= width * (1.0 - ATOM_TOL_FACTOR)
+
+
 def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
               report_clean: bool = False):
     """Number of eigenvalues <= E via the inertia of (matrix - E*I).
 
-    ``op.matrix`` may be dense or sparse.  For E >= 4d the count is
-    ``op.n`` without a factorization: by Gershgorin every N, Dt and D
-    spectrum lies in [0, 4d].  Below 4d, by Sylvester's law of inertia,
+    ``op.matrix`` may be dense or sparse.  For E >= 4d (1 - 1e-12) the
+    count is ``op.n`` without a factorization (:func:`_counts_all`).
+    Below that, by Sylvester's law of inertia,
     the count is the number of negative pivots of the congruence
     L D L^T of :func:`_lu_pivots`.  That factorization breaks down when
     SuperLU reports the matrix exactly singular, when its row and column
@@ -150,7 +161,7 @@ def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
     ``op.n - count`` eigenvalues are all > E.
     """
     clean = False
-    if E >= op.spectral_width:
+    if _counts_all(E, op.spectral_width):
         count = op.n
     else:
         pivots = _lu_pivots(op, E)
@@ -222,17 +233,21 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     found.  The first factorization of any of the shape's operators fixes
     the elimination order of all three.
 
-    Each energy below 4d is counted by :func:`count_leq`.  One clean
+    Every eigenvalue counts at E >= 4d (1 - 1e-12) (:func:`_counts_all`);
+    each energy below is counted by :func:`count_leq`.  One clean
     factorization there (see its ``report_clean``) also counts the mirror
     condition (:data:`MIRROR`) at the partner energy g ~ 4d - E of
     :func:`mirror_partners`: its count there is n - count, when g is not
-    an integer.  For a pseudo-Dirichlet energy E < 2d the partner is
+    an integer and E lies at least the snap 1e-12 * 4d above 0.  Below
+    that, the eigenvalues > E leave out the partner's eigenvalue at 4d,
+    the mirror of the zero mode, which the snap counts at g.  For a pseudo-Dirichlet energy E < 2d the partner is
     above 2d; those are counted last, so they are read off their
     partner's factorization rather than factored.  Integer energies,
     unpaired ones and partners of unclean factorizations keep
     :func:`count_leq` with its shifted retry and dense fallback.
     """
     d, n = cluster.d, cluster.n_vertices
+    snap = ATOM_TOL_FACTOR * 4 * d
     shape = cache.setdefault(("giant", cluster.canonical_key()), GiantCounts())
     mirror = MIRROR[bc]
     partners = mirror_partners(grid, d)
@@ -246,7 +261,7 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
             out[i] = shape.counts[key]
             tally["mirrored" if key in shape.mirrored else "cached"] += 1
             continue
-        if E >= 4 * d:
+        if _counts_all(E, 4 * d):
             out[i] = n
             tally["unfactored"] += 1
         else:
@@ -257,7 +272,7 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
             out[i], clean = count_leq(op, E, report_clean=True)
             tally["factored" if clean else "shifted"] += 1
             j = int(partners[i])
-            if clean and j >= 0:
+            if clean and j >= 0 and snap <= E <= 4 * d - snap:
                 g = float(grid[j])
                 mkey = (mirror.value, g)
                 if (not _refused(g) and mkey not in shape.counts
@@ -411,6 +426,13 @@ def default_grid(d: int, points: int = 512, refine: int = 40) -> np.ndarray:
 class EmpiricalIDS:
     """Right-continuous step function E -> (#eigenvalues <= E) / |Lambda|.
 
+    The pool is kept by weight: ``values`` holds the spectrum of every
+    shape up to the dense threshold once, sorted, and
+    ``cumulative[i]`` the number of pooled eigenvalues among
+    ``values[:i]``, each counted with its shape's multiplicity.  The
+    expanded multiset, one eigenvalue per vertex, is
+    :attr:`eigenvalues`, built only when read.
+
     Counts use a snap tolerance of 1e-12 * 4d: spectra carry atoms at
     rational energies (e.g. E = 2 in d = 1), and the dense eigensolver
     scatters those eigenvalues by a few ulps on either side of the exact
@@ -422,17 +444,24 @@ class EmpiricalIDS:
     bc: BoundaryCondition
     d: int
     total_vertices: int
-    eigenvalues: np.ndarray  # sorted pool, weight 1/total_vertices each
+    values: np.ndarray  # sorted distinct-shape spectra, each shape once
+    cumulative: np.ndarray  # int64, size values.size + 1, starts at 0
     grid: np.ndarray
     grid_values: np.ndarray
     n_clusters: int
     grid_collisions: np.ndarray = field(default_factory=lambda: np.empty(0))
     extra_grid_counts: np.ndarray | None = None  # clusters above dense threshold
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The sorted pool, weight 1/total_vertices each."""
+        return np.repeat(self.values, np.diff(self.cumulative))
+
     def evaluate(self, E) -> np.ndarray:
         E = np.asarray(E, dtype=np.float64)
         snap = ATOM_TOL_FACTOR * 4 * self.d
-        counts = np.searchsorted(self.eigenvalues, E + snap, side="right").astype(np.float64)
+        counts = self.cumulative[np.searchsorted(self.values, E + snap, side="right")]
+        counts = counts.astype(np.float64)
         if self.extra_grid_counts is not None:
             pos = np.searchsorted(self.grid, E, side="right") - 1
             counts += np.where(pos >= 0, self.extra_grid_counts[np.maximum(pos, 0)], 0)
@@ -443,8 +472,10 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
     """Pool cluster spectra of an ensemble with weight 1/(total vertices).
 
     ``graphs`` are realizations of one dimension or their
-    :class:`ShapeEnsemble`.  Each shape's spectrum, or above the dense
-    threshold its inertia counts on the grid, enters once per cluster.
+    :class:`ShapeEnsemble`.  Each shape's spectrum enters the pool once,
+    weighted by the shape's multiplicity; above the dense threshold its
+    inertia counts on the grid, times that multiplicity, are added to
+    the grid counts instead.
     """
     ensemble = graphs if isinstance(graphs, ShapeEnsemble) else ShapeEnsemble(graphs)
     if grid is None:
@@ -453,27 +484,34 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
 
     if cache is None:
         cache = _SPECTRUM_CACHE
-    pools = []
+    pools, weights = [], []
     extra = None
     spectra = shape_spectra(ensemble, bc, cache)
-    for c, m, eigs in zip(ensemble.shapes, ensemble.counts, spectra):
+    for c, m, eigs in zip(ensemble.shapes, ensemble.counts.tolist(), spectra):
         if eigs is None:
             inertia = m * giant_grid_counts(c, bc, grid, cache)
             extra = inertia if extra is None else extra + inertia
         else:
-            pools.append(np.tile(eigs, m))
-    pooled = np.sort(np.concatenate(pools)) if pools else np.empty(0)
+            pools.append(eigs)
+            weights.append(np.full(eigs.size, m, dtype=np.int64))
+    if pools:
+        values = np.concatenate(pools)
+        rank = np.argsort(values, kind="stable")
+        values = values[rank]
+        cumulative = np.concatenate(([0], np.cumsum(np.concatenate(weights)[rank])))
+    else:
+        values, cumulative = np.empty(0), np.zeros(1, dtype=np.int64)
 
     tol = ATOM_TOL_FACTOR * 4 * ensemble.d
-    counts = np.searchsorted(pooled, grid + tol, side="right").astype(np.float64)
+    counts = cumulative[np.searchsorted(values, grid + tol, side="right")].astype(np.float64)
     if extra is not None:
         counts += extra
-    values = counts / ensemble.total_vertices
+    grid_values = counts / ensemble.total_vertices
 
-    if pooled.size:
-        near = np.searchsorted(pooled, grid - tol)
-        hit = near < pooled.size
-        hit[hit] = np.abs(pooled[near[hit]] - grid[hit]) <= tol
+    if values.size:
+        near = np.searchsorted(values, grid - tol)
+        hit = near < values.size
+        hit[hit] = np.abs(values[near[hit]] - grid[hit]) <= tol
         collisions = grid[hit]
     else:
         collisions = np.empty(0)
@@ -484,9 +522,10 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         bc=bc,
         d=ensemble.d,
         total_vertices=ensemble.total_vertices,
-        eigenvalues=pooled,
+        values=values,
+        cumulative=cumulative,
         grid=grid,
-        grid_values=values,
+        grid_values=grid_values,
         n_clusters=ensemble.n_clusters,
         grid_collisions=collisions,
         extra_grid_counts=extra,
@@ -504,6 +543,6 @@ def zero_mode_density(graphs, tol: float | None = None) -> float:
         tol = zero_tolerance(ensemble.d)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    # a giant shape's zero mode is in the grid counts, not in ids.eigenvalues
+    # a giant shape's zero mode is in the grid counts, not in the pooled values
     ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN, grid=[tol])
     return float(ids.evaluate(tol))

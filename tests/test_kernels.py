@@ -100,6 +100,114 @@ def test_component_roots_agree_with_dfs():
         assert np.array_equal(kernels.component_roots(n, eu, ev), want)
 
 
+def _scipy_roots(n, eu, ev):
+    """Minimal-vertex roots from scipy's connected_components, the test
+    oracle of the numpy labeling (runs never import scipy.sparse.csgraph)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = coo_matrix((np.ones(eu.size, dtype=np.int8), (eu, ev)), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    first = np.full(labels.max() + 1, n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(n))
+    return first[labels]
+
+
+def _box_bonds(sides):
+    """Nearest-neighbour pairs of a box with side ``sides[k]`` on axis k,
+    linearized with the first axis fastest."""
+    n = int(np.prod(sides))
+    idx = np.arange(n, dtype=np.int64)
+    eu, ev, stride = [], [], 1
+    for side in sides:
+        lower = idx[idx // stride % side < side - 1]
+        eu.append(lower)
+        ev.append(lower + stride)
+        stride *= side
+    return n, np.concatenate(eu), np.concatenate(ev)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+           lambda d: st.lists(st.integers(min_value=1, max_value=40 // d ** 2 + 4),
+                              min_size=d, max_size=d)),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32))
+def test_component_roots_match_scipy_on_boxes(sides, p, seed):
+    """Open bonds of boxes with mixed sides, listed in random order and
+    orientation, label as scipy's connected_components does."""
+    n, eu, ev = _box_bonds(sides)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(eu.size) < p
+    eu, ev = eu[keep], ev[keep]
+    order = rng.permutation(eu.size)
+    flip = rng.random(eu.size) < 0.5
+    eu, ev = np.where(flip, ev, eu)[order], np.where(flip, eu, ev)[order]
+    roots = kernels.component_roots(n, eu, ev)
+    assert roots.dtype == np.int32
+    assert np.array_equal(roots, _scipy_roots(n, eu, ev))
+
+
+def _snake(side):
+    rows = np.arange(side * side).reshape(side, side)
+    rows[1::2] = rows[1::2, ::-1]
+    return rows.ravel()
+
+
+def _spiral(side):
+    grid = np.arange(side * side).reshape(side, side)
+    path = []
+    while grid.size:
+        path.append(grid[0])
+        grid = np.rot90(grid[1:])
+    return np.concatenate(path)
+
+
+def _comb(side):
+    """Spine along the top row, one tooth down every column: the bonds
+    (u, v) of a spanning tree, not a path."""
+    grid = np.arange(side * side).reshape(side, side)
+    spine = (grid[0, :-1], grid[0, 1:])
+    teeth = (grid[:-1].ravel(), grid[1:].ravel())
+    return np.concatenate((spine[0], teeth[0])), np.concatenate((spine[1], teeth[1]))
+
+
+def test_component_roots_match_scipy_on_long_paths():
+    """Snake, spiral and comb spanning trees of a 300 x 300 box, in both
+    linearizations, where hooking the larger root to the smaller one
+    takes the most rounds; each labels all vertices with root 0."""
+    side = 300
+    n = side * side
+    transpose = np.arange(n).reshape(side, side).T.ravel()
+    cases = {"snake": _snake(side), "spiral": _spiral(side), "comb": _comb(side)}
+    for name, case in cases.items():
+        eu, ev = case if isinstance(case, tuple) else (case[:-1], case[1:])
+        for relabel in (np.arange(n), transpose):
+            u, v = relabel[eu], relabel[ev]
+            roots = kernels.component_roots(n, u, v)
+            assert np.array_equal(roots, _scipy_roots(n, u, v)), name
+            assert not roots.any(), name
+    assert np.array_equal(np.sort(_spiral(side)), np.arange(n))
+
+
+def test_runs_never_import_csgraph(tmp_path):
+    """A `perclap all` run in a fresh interpreter labels clusters without
+    importing scipy.sparse.csgraph."""
+    src = str(Path(perclap.__file__).resolve().parents[1])
+    config = tmp_path / "config.json"
+    config.write_text('{"d": 1, "L": 2000, "p": 0.3, "realizations": 2, "seed": 3, '
+                      '"decay_samples": 5000}')
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from perclap.cli import main\n"
+        f"code = main(['all', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def _brute_force_cut(n, eu, ev):
     best = None
     for mask in range(1, 1 << n):
