@@ -12,9 +12,9 @@ them.  Shapes above :data:`DENSE_THRESHOLD` are not
 diagonalized up front; :func:`count_leq` counts their eigenvalues at
 each grid energy below 4d from the pivot signs of a sparse SuperLU
 factorization (Sylvester's law of inertia), and at E >= 4d (1 - 1e-12)
-returns the vertex count, as the pooled IDS's snap does.  Only at an energy where that factorization breaks down
-twice does it read the count off the shape's dense spectrum, computed
-once per operator.
+returns the vertex count, as the pooled IDS's snap does.  Only at an
+energy where that factorization breaks down twice does it read the
+count off the shape's dense spectrum, computed once per operator.
 
 :func:`giant_grid_counts` makes those counts for one such shape and
 keeps them in the run's cache.  Lattice clusters are bipartite, so D
@@ -240,9 +240,10 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     :func:`mirror_partners`: its count there is n - count, when g is not
     an integer and E lies at least the snap 1e-12 * 4d above 0.  Below
     that, the eigenvalues > E leave out the partner's eigenvalue at 4d,
-    the mirror of the zero mode, which the snap counts at g.  For a pseudo-Dirichlet energy E < 2d the partner is
-    above 2d; those are counted last, so they are read off their
-    partner's factorization rather than factored.  Integer energies,
+    the mirror of the zero mode, which the snap counts at g.  For a
+    pseudo-Dirichlet energy E < 2d the partner is above 2d; those are
+    counted last, so they are read off their partner's factorization
+    rather than factored.  Integer energies,
     unpaired ones and partners of unclean factorizations keep
     :func:`count_leq` with its shifted retry and dense fallback.
     """

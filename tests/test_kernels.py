@@ -182,6 +182,8 @@ def test_component_roots_match_scipy_on_long_paths():
     cases = {"snake": _snake(side), "spiral": _spiral(side), "comb": _comb(side)}
     for name, case in cases.items():
         eu, ev = case if isinstance(case, tuple) else (case[:-1], case[1:])
+        (ru, cu), (rv, cv) = np.divmod(eu, side), np.divmod(ev, side)
+        assert (np.abs(ru - rv) + np.abs(cu - cv) == 1).all(), name  # lattice bonds
         for relabel in (np.arange(n), transpose):
             u, v = relabel[eu], relabel[ev]
             roots = kernels.component_roots(n, u, v)
