@@ -1,9 +1,10 @@
 """Hot numeric kernels: counter-based RNG, cluster labeling, Cheeger cut search.
 
 The RNG and labeling kernels are vectorized numpy; the Cheeger cut search
-walks connected vertex subsets on Python-int bitmasks.  The RNG is a
-splitmix64 finalizer evaluated per counter value, so edge decisions
-depend only on (seed, edge index) and never on iteration order.
+walks the connected vertex subsets of a simple graph (no self-loops or
+parallel edges, as in every lattice cluster) on Python-int bitmasks.
+The RNG is a splitmix64 finalizer evaluated per counter value, so edge
+decisions depend only on (seed, edge index) and never on iteration order.
 """
 
 import numpy as np
@@ -177,41 +178,29 @@ def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.nd
 # exact Cheeger cut
 
 
-def _add_neighbour(layers: list, bit: int) -> None:
-    """Record one more edge to the neighbour ``bit`` in a vertex's layers."""
-    for j, m in enumerate(layers):
-        if not m & bit:
-            layers[j] = m | bit
-            return
-    layers.append(bit)
-
-
 def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
     """Minimal (|boundary edges|, |W|) ratio over subsets W with 2|W| <= n.
+
+    The graph must be simple: no self-loop and no unordered pair joined
+    twice, as in every lattice cluster.  Each vertex's neighbours are
+    one Python-int bitmask, its degree that mask's popcount.
 
     The minimum is attained on a W that induces a connected subgraph: if W
     splits into parts with no edge between them, its boundary is the sum
     of theirs, so its ratio is a mediant of theirs and one part does at
     least as well.  Each connected W is visited once, by ESU extension
-    (Wernicke 2006) from its smallest vertex over Python-int bitmasks,
-    with the boundary updated as vertices join.  Self-loops cross no cut;
-    parallel edges count with their multiplicity.  Returns ``(-1, 1)``
-    when n < 2, where no subset qualifies.
+    (Wernicke 2006) from its smallest vertex, and x joining W changes the
+    boundary by deg(x) - 2 |nbr(x) & W|.  Returns ``(-1, 1)`` when
+    n < 2, where no subset qualifies.
     """
     k = n_vertices // 2
     if k == 0:
         return -1, 1
-    # layers[x][j]: neighbours joined to x by more than j parallel edges
-    layers = [[0] for _ in range(n_vertices)]
-    deg = [0] * n_vertices
+    nbr = [0] * n_vertices
     for u, v in zip(eu.tolist(), ev.tolist()):
-        if u == v:
-            continue
-        for x, y in ((u, v), (v, u)):
-            deg[x] += 1
-            _add_neighbour(layers[x], 1 << y)
-    nbr = [lx[0] for lx in layers]
-    extra = [lx[1:] for lx in layers]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    deg = [m.bit_count() for m in nbr]
     best_b, best_w = min(deg), 1
 
     def extend(sub, size, b, closed, ext, above):
@@ -223,10 +212,7 @@ def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
             bit = ext & -ext
             ext ^= bit
             x = bit.bit_length() - 1
-            inner = (nbr[x] & sub).bit_count()
-            for m in extra[x]:
-                inner += (m & sub).bit_count()
-            bx = b + deg[x] - 2 * inner
+            bx = b + deg[x] - 2 * (nbr[x] & sub).bit_count()
             if bx * best_w < best_b * size:
                 best_b, best_w = bx, size
             if size < k:

@@ -17,9 +17,9 @@ from . import kernels
 from .config import ExperimentConfig
 from .exceptions import DomainError, InsufficientDataError, PerclapError
 from .isoperimetry import VIOLATION_KINDS, check_shape
-from .laplacian import BoundaryCondition
+from .laplacian import ALL_BCS, BoundaryCondition
 from .lattice import LatticeBox, ShapeEnsemble, graph_to_json_dict, sample_graph
-from .spectral import cluster_spectra, default_grid, empirical_ids
+from .spectral import default_grid, empirical_ids, require_dense, shape_spectra
 from .tails import analytic_tail_fit, cluster_size_decay, decay_domain_problem, fit_tail
 
 ANALYTIC_TAILS_D1_ONLY = "analytic tail fits require d = 1"
@@ -113,12 +113,18 @@ _REPORT_CHUNK = 1 << 14
 
 
 def _run_verify(cfg, ensemble, grid, outputs, out, cache):
+    """Check every shape on the spectra that ``ids`` shares: one
+    :func:`shape_spectra` call per boundary condition, after refusing
+    the first shape above the dense threshold before any solve."""
+    for c in ensemble.shapes:
+        require_dense(c.n_vertices)
+    by_bc = {bc: shape_spectra(ensemble, bc, cache) for bc in ALL_BCS}
     rows = np.empty(len(ensemble.shapes), dtype=object)  # shape id -> report.csv row
     has_row = np.zeros(len(ensemble.shapes), dtype=bool)
     violations = dict.fromkeys(VIOLATION_KINDS, 0)
     fk_min = None
     for sid, (c, m) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist())):
-        counts, rep = check_shape(c, grid, cluster_spectra(c, cache))
+        counts, rep = check_shape(c, grid, {bc: s[sid] for bc, s in by_bc.items()})
         for kind, k in counts.items():
             violations[kind] += m * k
         if rep is None:

@@ -56,12 +56,15 @@ def zero_tolerance(d: int) -> float:
     return ZERO_TOL_FACTOR * 4 * d
 
 
+def require_dense(n: int) -> None:
+    """Refuse a dense solve of an n-vertex cluster above the threshold."""
+    if n > DENSE_THRESHOLD:
+        raise DomainError(f"cluster size {n} above dense threshold {DENSE_THRESHOLD}")
+
+
 def eigenvalues(op: SymmetricOperator) -> np.ndarray:
     """All eigenvalues, ascending (dense symmetric solver)."""
-    if op.n > DENSE_THRESHOLD:
-        raise DomainError(
-            f"cluster size {op.n} above dense threshold {DENSE_THRESHOLD}"
-        )
+    require_dense(op.n)
     return op.spectrum
 
 
@@ -447,11 +450,14 @@ class EmpiricalIDS:
     total_vertices: int
     values: np.ndarray  # sorted distinct-shape spectra, each shape once
     cumulative: np.ndarray  # int64, size values.size + 1, starts at 0
-    grid: np.ndarray
-    grid_values: np.ndarray
+    grid: np.ndarray  # sorted, distinct
     n_clusters: int
     grid_collisions: np.ndarray = field(default_factory=lambda: np.empty(0))
     extra_grid_counts: np.ndarray | None = None  # clusters above dense threshold
+    grid_values: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.grid_values = self.evaluate(self.grid)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -476,12 +482,11 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
     :class:`ShapeEnsemble`.  Each shape's spectrum enters the pool once,
     weighted by the shape's multiplicity; above the dense threshold its
     inertia counts on the grid, times that multiplicity, are added to
-    the grid counts instead.
+    the grid counts instead.  The grid is kept sorted and distinct, the
+    order :meth:`EmpiricalIDS.evaluate` reads those counts in.
     """
     ensemble = graphs if isinstance(graphs, ShapeEnsemble) else ShapeEnsemble(graphs)
-    if grid is None:
-        grid = default_grid(ensemble.d)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = default_grid(ensemble.d) if grid is None else np.unique(np.asarray(grid, float))
 
     if cache is None:
         cache = _SPECTRUM_CACHE
@@ -504,11 +509,6 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         values, cumulative = np.empty(0), np.zeros(1, dtype=np.int64)
 
     tol = ATOM_TOL_FACTOR * 4 * ensemble.d
-    counts = cumulative[np.searchsorted(values, grid + tol, side="right")].astype(np.float64)
-    if extra is not None:
-        counts += extra
-    grid_values = counts / ensemble.total_vertices
-
     if values.size:
         near = np.searchsorted(values, grid - tol)
         hit = near < values.size
@@ -526,7 +526,6 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         values=values,
         cumulative=cumulative,
         grid=grid,
-        grid_values=grid_values,
         n_clusters=ensemble.n_clusters,
         grid_collisions=collisions,
         extra_grid_counts=extra,

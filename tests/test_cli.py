@@ -153,6 +153,9 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
          "series truncation"),
         ({**small, "task": "all", "tail_window": [1e-300, 1e-299], "grid_points": 16,
           "grid_refine": 0, "decay_samples": 2000}, "unsupported size", "series truncation"),
+        # verify checks no shape above the dense threshold
+        ({"d": 2, "L": 48, "p": 0.6, "seed": 1, "task": "verify"}, "domain",
+         "cluster size 2131 above dense threshold 2048"),
     ]
     for i, (data, kind, reason) in enumerate(cases):
         cfg = _write(tmp_path, data, name=f"c{i}.json")

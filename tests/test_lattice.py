@@ -420,6 +420,44 @@ def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realiz
         assert ensemble.counts.tolist() == [ensemble.n_clusters]
 
 
+def _assert_simple(c):
+    """No edge joins a vertex to itself and no unordered pair twice."""
+    lo, hi = np.sort(c.edges, axis=1).T
+    assert (lo < hi).all()
+    assert np.unique(lo * c.n_vertices + hi).size == c.n_edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=40 // d ** 2 + 4),
+                      st.floats(min_value=0.0, max_value=1.0),
+                      st.integers(min_value=0, max_value=2**32)),
+            min_size=1, max_size=3,
+        ))),
+)
+@example((2, [(12, 1.0, 1), (5, 0.5, 2)]))
+def test_clusters_and_shapes_are_simple_graphs(case):
+    """The precondition of ``kernels.best_cheeger_cut``: every cluster of
+    ``clusters()`` and every ``ShapeEnsemble`` representative is a
+    simple graph, at any d, box side and p."""
+    d, realizations = case
+    graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
+    for g in graphs:
+        for c in clusters(g):
+            _assert_simple(c)
+    for c in ShapeEnsemble(graphs).shapes:
+        _assert_simple(c)
+
+
+def test_cluster_builders_make_simple_graphs():
+    for d in (1, 2, 3):
+        _assert_simple(make_linear_cluster(7, d))
+        _assert_simple(make_cubic_cluster(3, d))
+
+
 def test_shape_ensemble_traced_peak_on_long_paths():
     """The shape table of the d1_paths workload's graphs: 280k clusters,
     70% of them isolated vertices, which get no key columns.  Keying

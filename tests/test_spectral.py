@@ -214,6 +214,23 @@ def test_large_cluster_inertia_path_matches_dense_ids(giant_clusters):
                 assert got == want[order].tolist(), (c.d, bc, order[0])
 
 
+def test_empirical_ids_evaluates_giant_counts_on_an_unsorted_grid(monkeypatch):
+    """With most shapes above the dense threshold, the IDS read at an
+    unsorted grid matches the all-dense IDS there: the grid is kept
+    sorted, so each energy finds its own giant-shape counts."""
+    g = sample_graph(LatticeBox(2, 8), 0.5, derive_seed(1, 0))
+    grid = [3.3, 0.7, 5.1, 1.9]
+    dense = empirical_ids([g], N, grid=grid, cache={})
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 4)
+    monkeypatch.setattr(perclap.laplacian, "DENSE_THRESHOLD", 4)
+    ids = empirical_ids([g], N, grid=grid, cache={})
+    assert ids.extra_grid_counts is not None
+    want = [0.8125, 0.421875, 0.984375, 0.546875]
+    assert dense.evaluate(grid).tolist() == ids.evaluate(grid).tolist() == want
+    assert ids.grid.tolist() == sorted(grid)
+    assert ids.grid_values.tolist() == sorted(want)
+
+
 def test_inertia_counts_reuse_the_first_elimination_order(giant_clusters, monkeypatch):
     """A - E I has one sparsity pattern at every energy, so only an
     operator's first SuperLU call orders the columns (MMD); every later
@@ -625,12 +642,15 @@ def _count_calls(monkeypatch, fn, calls):
                 monkeypatch.setattr(mod, name, counting)
 
 
-def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("task", ["all", "verify"])
+def test_run_all_solves_each_shape_once(task, tmp_path, monkeypatch):
     """ids, verify, mc tails and the FK ratios share one decomposition per
     realization, one spectrum per (shape, bc) and one Cheeger cut search
-    per shape of 2 to EXHAUSTIVE_CUTOFF vertices."""
+    per shape of 2 to EXHAUSTIVE_CUTOFF vertices.  Also when verify runs
+    alone, it solves in bulk: a single solve only for a vertex count that
+    holds one shape."""
     cfg = config_from_dict({
-        "d": 2, "L": 16, "p": 0.35, "realizations": 3, "seed": 5, "task": "all",
+        "d": 2, "L": 16, "p": 0.35, "realizations": 3, "seed": 5, "task": task,
         "grid_points": 64, "grid_refine": 8, "tail_mode": "mc",
         "tail_window": [0.5, 4.0], "decay_samples": 2000,
     })
@@ -640,12 +660,16 @@ def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
         for c in clusters(sample_graph(LatticeBox(2, 16), 0.35, derive_seed(5, i)))
         if c.n_vertices > 1
     }
+    per_size = Counter(shapes.values())
+    assert max(per_size.values()) > 1
     # every (bc, shape) diagonalized, as a single solve or a stacked row
     solves = Counter()
+    singles = set()  # (bc, vertex count) of every single solve
     solve, solve_stack = spectral.eigenvalues, spectral._stacked_eigenvalues
 
     def counting(op):
         solves[(op.bc, op.cluster.canonical_key())] += 1
+        singles.add((op.bc, op.n))
         return solve(op)
 
     def counting_stack(shapes, bc):
@@ -662,9 +686,30 @@ def test_run_all_solves_each_shape_once(tmp_path, monkeypatch):
     assert run(cfg, tmp_path)["status"] == "ok"
     assert set(solves) == {(bc, key) for bc in ALL_BCS for key in shapes}
     assert set(solves.values()) == {1}
+    assert singles and all(per_size[n] == 1 for _, n in singles)
     assert calls["clusters"] == cfg.realizations
     assert calls["best_cheeger_cut"] == sum(
         1 for n in shapes.values() if n <= EXHAUSTIVE_CUTOFF)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_supercritical_verify_refuses_before_any_dense_solve(seed, tmp_path, monkeypatch):
+    """verify refuses a shape above the dense threshold before it solves
+    or assembles any shape.  At seed 1 the giant is the first shape; at
+    seed 3 a two-vertex shape comes before it."""
+    cfg = config_from_dict({"d": 2, "L": 48, "p": 0.6, "seed": seed, "task": "verify"})
+    giant = max(c.n_vertices for c in clusters(sample_graph(LatticeBox(2, 48), 0.6,
+                                                            derive_seed(seed, 0))))
+    assert giant > DENSE_THRESHOLD
+    calls = Counter()
+    _count_calls(monkeypatch, spectral.eigenvalues, calls)
+    _count_calls(monkeypatch, spectral._stacked_eigenvalues, calls)
+    _count_calls(monkeypatch, perclap.laplacian.assemble, calls)
+    monkeypatch.setattr(spectral, "_SPECTRUM_CACHE", {})
+    with pytest.raises(DomainError, match=f"^cluster size {giant} above dense threshold "
+                                          f"{DENSE_THRESHOLD}$"):
+        run(cfg, tmp_path)
+    assert calls == Counter()
 
 
 # d = 1, 2, 3 ensembles; each has isolated vertices and, in d >= 2,
