@@ -7,6 +7,8 @@ The RNG is a splitmix64 finalizer evaluated per counter value, so edge
 decisions depend only on (seed, edge index) and never on iteration order.
 """
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -15,6 +17,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # 2^-53; uniforms live on the dyadic grid k * 2^-53, k < 2^53
 _INV53 = 1.1102230246251565e-16
+# the same constants, and the finalizer's shifts, as uint64 scalars
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def splitmix64(x: int) -> int:
@@ -35,40 +40,65 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 shift/multiply chain on uint64 arrays of states that
-    already carry the golden increment: ``splitmix64(x) == _mix(x + golden)``."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 shift/multiply chain, in place, on a uint64 array of
+    states that already carry the golden increment: ``splitmix64(x) ==
+    _mix(x + golden)``.  Returns ``z``."""
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
 
 
 def derive_seeds(master: int, start: int, n: int) -> np.ndarray:
     """``derive_seed(master, i)`` for i = start, ..., start + n - 1, as uint64."""
-    golden = np.uint64(_GOLDEN)
-    index = np.uint64(start & _MASK64) + np.arange(n, dtype=np.uint64)
-    return _mix((np.uint64(master & _MASK64) ^ _mix(index + golden)) + golden)
+    z = np.arange(n, dtype=np.uint64)
+    z += np.uint64(start & _MASK64)
+    z += _U_GOLDEN
+    _mix(z)
+    z ^= np.uint64(master & _MASK64)
+    z += _U_GOLDEN
+    return _mix(z)
 
 
 # ---------------------------------------------------------------------------
 # per-edge uniforms
 
 
-def _counter_uniforms(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Uniform on [0, 1) for counter ``counters[k]`` of stream ``seeds[k]``
-    (uint64 arrays, broadcast); a draw depends only on that pair."""
-    z = _mix(seeds + counters * np.uint64(_GOLDEN))
-    return (z >> np.uint64(11)) * _INV53
+def _edge_states(seed: int, n: int) -> np.ndarray:
+    """Finalized uint64 states of counters 1..n of stream ``seed``; the
+    uniform of counter c is ``(state >> 11) * 2**-53``."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _U_GOLDEN
+    z += np.uint64(seed & _MASK64)
+    return _mix(z)
+
+
+def _is_open(z: np.ndarray, p: float) -> np.ndarray:
+    """Openness of the bonds whose finalized states are ``z``: exactly
+    ``(z >> 11) * 2**-53 < p``, in one integer compare.
+
+    That uniform is k * 2^-53 with k = z >> 11, and k * 2^-53 < p holds
+    iff k < T = ceil(p * 2^53), iff z < T << 11.  For 0 <= p < 1 the
+    threshold fits in uint64; at p >= 1 (where T << 11 = 2^64 would
+    wrap) every bond is open, and at p <= 0, or NaN, none is.
+    """
+    if p >= 1.0:
+        return np.ones(z.shape, dtype=bool)
+    threshold = math.ceil(p * 2.0**53) << 11 if p > 0.0 else 0
+    return z < np.uint64(threshold)
 
 
 def edge_uniforms(seed: int, n: int) -> np.ndarray:
     """Uniforms on [0, 1) for counters 1..n of stream ``seed``."""
-    return _counter_uniforms(np.uint64(seed & _MASK64),
-                             np.arange(1, n + 1, dtype=np.uint64))
+    return (_edge_states(seed, n) >> _U11) * _INV53
 
 
 def edge_open_mask(seed: int, n: int, p: float) -> np.ndarray:
-    """Openness of the ``n`` candidate edges of one realization."""
-    return edge_uniforms(seed, n) < p
+    """Openness of the ``n`` candidate edges of one realization:
+    ``edge_uniforms(seed, n) < p``."""
+    return _is_open(_edge_states(seed, n), p)
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +144,36 @@ def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.nd
     bond and ``wall[v]`` marks the vertices on the box wall.  A pool of
     ``slots`` streams (at least 1, at most ``samples``) runs one frontier
     BFS from the origin per round; a slot whose frontier empties writes
-    its sample's result, clears its visited row and takes the next sample.
+    its sample's result, resets its visited row and takes the next sample.
     The BFS draws a bond only when it leads to an unvisited vertex, with
     the uniform ``edge_uniforms`` gives that edge (counter ``edge index +
     1``), so each cluster is exactly the origin's cluster of the fully
     drawn realization, whatever the pool size.  Returns ``(sizes,
-    touched)``; working memory is one bool per (slot, vertex).
+    touched)``; working memory is one bool per (slot, vertex), plus one
+    per slot.
+
+    Each visited row has an extra wall column, index n_vertices, that is
+    always set: a neighbour past the wall points there, so it reads as
+    visited and needs no mask of its own.  Two flat per-(vertex,
+    direction) tables, built once per call, give the neighbour and the
+    counter step ``(edge index + 1) * golden``; a draw is the slot's seed
+    plus that step, finalized in place and tested against the integer
+    threshold of ``_is_open``.  One index array, the unvisited lookups of
+    the round, drives every later gather.
     """
     nv, degree = neighbours.shape
+    row = nv + 1
     k = min(samples, max(1, slots))
-    visited = np.zeros((k, nv), dtype=bool)
+    to = np.where(neighbours >= 0, neighbours, nv).astype(np.intp, copy=False).ravel()
+    step = (edge_ids + np.uint64(1)).ravel()
+    step *= _U_GOLDEN
+    # lookups are direction-major, (degree, frontier), so that each
+    # elementwise pass runs along the frontier
+    dirs = np.arange(degree)[:, None]
+    # a reset row: only the origin and the wall column set
+    blank = np.zeros(row, dtype=bool)
+    blank[[origin, nv]] = True
+    visited = np.tile(blank, (k, 1))
     flat = visited.reshape(-1)
     sizes = np.empty(samples, dtype=np.int64)
     touched = np.empty(samples, dtype=bool)
@@ -135,22 +185,25 @@ def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.nd
     live = np.ones(k, dtype=bool)
     slot = at.copy()
     vertex = np.full(k, origin, dtype=np.int64)
-    visited[:, origin] = True
     start = k
+    # seeds of samples first, first + 1, ...: derived k at a time, since a
+    # derive_seeds call costs more than a round's refill of a few slots
+    first, queued = k, derive_seeds(master, k, k)
     while slot.size:
-        nbr = neighbours[vertex].ravel()
-        owner = np.repeat(slot, degree)
-        key = owner * nv + nbr
-        look = nbr >= 0
-        look[look] = ~flat[key[look]]
-        counters = edge_ids[vertex].ravel()[look] + np.uint64(1)
-        opened = _counter_uniforms(seeds[owner[look]], counters) < p
-        key = key[look][opened]
+        lookup = dirs + vertex * degree
+        key = to[lookup]
+        key += slot * row
+        key = key.ravel()
+        fresh = np.flatnonzero(~flat[key])
+        key = key[fresh]
+        z = step[lookup.ravel()[fresh]]
+        z += seeds[key // row]
+        key = key[_is_open(_mix(z), p)]
         key.sort()
         if key.size > 1:
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         flat[key] = True
-        slot, vertex = np.divmod(key, nv)
+        slot, vertex = np.divmod(key, row)
         grown = np.bincount(slot, minlength=k)
         size += grown
         reach[slot[wall[vertex]]] = True
@@ -158,17 +211,20 @@ def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.nd
         if not done.size:
             continue
         sizes[at[done]], touched[at[done]] = size[done], reach[done]
-        visited[done] = False
+        visited[done] = blank
         m = min(done.size, samples - start)
         live[done[m:]] = False
         if not m:
             continue
         done = done[:m]
         at[done] = np.arange(start, start + m)
-        seeds[done] = derive_seeds(master, start, m)
+        if start + m > first + queued.size:
+            queued = np.concatenate((queued[start - first:],
+                                     derive_seeds(master, first + queued.size, k)))
+            first = start
+        seeds[done] = queued[start - first:start - first + m]
         start += m
         size[done], reach[done] = 1, bool(wall[origin])
-        visited[done, origin] = True
         slot = np.concatenate((slot, done))
         vertex = np.concatenate((vertex, np.full(m, origin, dtype=np.int64)))
     return sizes, touched

@@ -25,9 +25,11 @@ logger = logging.getLogger(__name__)
 
 TAIL_FLOOR_ANALYTIC = 1e-300
 DECAY_MIN_COUNT = 50
-# bound on the origin-cluster BFS pool: (stream slot x vertex) visited
-# flags, one byte each: 512 KiB (one box, if larger) whatever the
-# sample count, e.g. 481 slots on the 33x33 box of radius 16
+# bound on the origin-cluster BFS pool: DECAY_BATCH_SLOTS // n_vertices
+# slots (at least 1, at most the sample count), each a visited row of
+# n_vertices flags plus the always-set wall column, one byte each.  So
+# 512 KiB and one byte per slot (one box, if larger) whatever the sample
+# count, e.g. 481 slots of 1090 flags on the 33x33 box of radius 16
 DECAY_BATCH_SLOTS = 1 << 19
 
 # engineering caps well below the literature percolation thresholds;

@@ -7,11 +7,14 @@ the vectorized all-subsets cut search the connected-subset kernel replaced.
 """
 
 import hashlib
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +88,41 @@ def test_edge_open_mask_density():
     for p in (0.0, 0.25, 1.0):
         m = edge_open_mask(derive_seed(5, 2), 100_000, p)
         assert abs(m.mean() - p) < 0.006
+
+
+# open-bond probabilities at and next to the ends of the integer threshold
+THRESHOLD_PS = [0.0, 2.0**-53, 1 / 3, 0.3, 12_345 * 2.0**-53,
+                float(np.nextafter(1.0, 0.0)), 1.0]
+
+
+def _float_open(z, p):
+    """The uniform rule on a Python-int state: (z >> 11) * 2^-53 < p."""
+    return (z >> 11) * 2.0**-53 < p
+
+
+def _check_open_rule(zs, p):
+    got = kernels._is_open(np.array(zs, dtype=np.uint64), p)
+    assert got.dtype == bool and got.shape == (len(zs),)
+    assert got.tolist() == [_float_open(z, p) for z in zs], p
+
+
+@pytest.mark.parametrize("p", THRESHOLD_PS)
+def test_integer_open_rule_at_its_threshold(p):
+    """z < ceil(p 2^53) << 11 is the float rule, on both sides of the
+    threshold; T is computed here in exact rational arithmetic."""
+    t = math.ceil(Fraction(p) * 2**53) << 11
+    zs = [z for z in (0, t - 2048, t - 1, t, t + 2047, 2**64 - 1) if 0 <= z < 2**64]
+    _check_open_rule(zs, p)
+    assert edge_open_mask(derive_seed(5, 3), 4096, p).tolist() \
+        == (edge_uniforms(derive_seed(5, 3), 4096) < p).tolist()
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.sampled_from(THRESHOLD_PS)
+       | st.floats(min_value=0.0, max_value=1.0)
+       | st.integers(min_value=0, max_value=2**53).map(lambda k: k * 2.0**-53))
+def test_integer_open_rule_matches_float_rule(z, p):
+    _check_open_rule([z], p)
 
 
 def test_component_roots_agree_with_dfs():

@@ -262,7 +262,8 @@ def test_cluster_size_decay_reproducible():
 
 
 def _reference_origin_clusters(d, p, samples, seed, radius):
-    """Per-sample loop: draw every edge of the box, label all components."""
+    """Per-sample loop: draw every edge of the box, label all components.
+    Also returns how many of the box's 2d faces some cluster reaches."""
     side = 2 * radius + 1
     box = LatticeBox(d, side)
     eu, ev = box.candidate_edges()
@@ -270,13 +271,15 @@ def _reference_origin_clusters(d, p, samples, seed, radius):
     coords = box.coords(np.arange(box.n_vertices))
     wall = np.any((coords == 0) | (coords == side - 1), axis=1)
     sizes, touched = [], []
+    faces = np.zeros((2, d), dtype=bool)
     for i in range(samples):
         mask = edge_open_mask(derive_seed(seed, i), box.n_edges, p)
         roots = component_roots(box.n_vertices, eu[mask], ev[mask])
         in_cluster = roots == roots[origin]
         sizes.append(int(in_cluster.sum()))
         touched.append(bool(np.any(in_cluster & wall)))
-    return sizes, touched
+        faces |= np.stack((coords[in_cluster] == 0, coords[in_cluster] == side - 1)).any(axis=1)
+    return sizes, touched, int(faces.sum())
 
 
 @pytest.mark.parametrize("d, p, samples, radius", [
@@ -284,15 +287,24 @@ def _reference_origin_clusters(d, p, samples, seed, radius):
     (2, 0.3, 3000, 16),
     (3, 0.15, 600, 8),
     (2, 0.35, 2000, 2),   # most clusters reach the wall
+    (3, 0.19, 2000, 1),   # every vertex but the origin is on the wall
+    (1, 0.95, 2000, 3),   # long paths out to both ends
+    (2, 1e-9, 500, 16),   # every cluster is the origin alone
 ])
 def test_origin_cluster_samples_match_per_sample_loop(d, p, samples, radius):
     seed = derive_seed(96, d)
     sizes, touched = origin_cluster_samples(d, p, samples, seed, radius)
-    want_sizes, want_touched = _reference_origin_clusters(d, p, samples, seed, radius)
+    want_sizes, want_touched, faces = _reference_origin_clusters(d, p, samples, seed, radius)
     assert sizes.tolist() == want_sizes
     assert touched.tolist() == want_touched
+    if radius <= 3:
+        # clusters reach every face, so the BFS looked past the wall in
+        # every direction
+        assert faces == 2 * d
     if radius == 2:
         assert touched.mean() > 0.5
+    if p < 1e-6:
+        assert sizes.tolist() == [1] * samples
 
 
 @pytest.mark.parametrize("d, p, samples, radius", [
@@ -301,6 +313,7 @@ def test_origin_cluster_samples_match_per_sample_loop(d, p, samples, radius):
     (3, 0.15, 200, 8),
     (2, 0.3, 1, 16),
     (2, 0.35, 500, 2),    # most clusters reach the wall
+    (3, 0.19, 300, 1),    # every vertex but the origin is on the wall
 ])
 def test_origin_cluster_samples_independent_of_pool_size(monkeypatch, d, p, samples, radius):
     """1 slot, 3 slots and more slots than samples give the same clusters
