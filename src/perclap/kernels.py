@@ -1,8 +1,10 @@
 """Hot numeric kernels: counter-based RNG, cluster labeling, Cheeger cut search.
 
 The RNG and labeling kernels are vectorized numpy; the Cheeger cut search
-walks the connected vertex subsets of a simple graph (no self-loops or
-parallel edges, as in every lattice cluster) on Python-int bitmasks.
+works on a simple graph (no self-loops or parallel edges, as in every
+lattice cluster) with Python-int bitmasks: one depth-first search for
+bridges settles every tree and many cyclic graphs, and the rest walk
+their connected vertex subsets.
 The RNG is a splitmix64 finalizer evaluated per counter value, so edge
 decisions depend only on (seed, edge index) and never on iteration order.
 """
@@ -234,6 +236,54 @@ def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.nd
 # exact Cheeger cut
 
 
+def _largest_bridge_side(nbr):
+    """Largest smaller side min(s, n - s) over the bridges of the graph
+    with neighbour bitmasks ``nbr``: 0 when it has no bridge, None when
+    it is not connected.
+
+    One iterative depth-first search from vertex 0 with lowlinks: the
+    tree edge (parent, v) is a bridge iff low(v) > disc(parent), and its
+    sides are v's subtree (s vertices) and the rest.
+    """
+    n = len(nbr)
+    disc = [0] * n  # discovery time from 1; 0 = not yet reached
+    low = [0] * n
+    size = [1] * n
+    parent = [-1] * n
+    rest = [0] * n  # neighbours still to scan, the tree edge in excluded
+    disc[0] = low[0] = 1
+    rest[0] = nbr[0]
+    clock, stack, best = 2, [0], 0
+    while stack:
+        v = stack[-1]
+        r = rest[v]
+        if r:
+            bit = r & -r
+            rest[v] = r ^ bit
+            x = bit.bit_length() - 1
+            if disc[x]:
+                if disc[x] < low[v]:
+                    low[v] = disc[x]
+            else:
+                disc[x] = low[x] = clock
+                clock += 1
+                parent[x] = v
+                rest[x] = nbr[x] ^ (1 << v)
+                stack.append(x)
+            continue
+        stack.pop()
+        u = parent[v]
+        if u < 0:
+            continue
+        size[u] += size[v]
+        if low[v] < low[u]:
+            low[u] = low[v]
+        if low[v] > disc[u]:
+            s = size[v]
+            best = max(best, min(s, n - s))
+    return best if clock == n + 1 else None
+
+
 def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
     """Minimal (|boundary edges|, |W|) ratio over subsets W with 2|W| <= n.
 
@@ -244,7 +294,23 @@ def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
     The minimum is attained on a W that induces a connected subgraph: if W
     splits into parts with no edge between them, its boundary is the sum
     of theirs, so its ratio is a mediant of theirs and one part does at
-    least as well.  Each connected W is visited once, by ESU extension
+    least as well.
+
+    Bridge bound.  On a connected graph some optimal W also has V \\ W
+    connected.  Take W connected and optimal, with ratio b/|W|, and C_i
+    the components of G - W.  Each C_i is connected, and so is V \\ C_i
+    (W and every other C_j, each joined to W).  The boundaries b_i of
+    the C_i sum to b, so by the mediant some b_i/|C_i| <= b/(n - |W|)
+    <= b/|W|, since n - |W| >= |W|.  If 2|C_i| <= n, C_i is as good as
+    W; otherwise its complement is, with b_i/(n - |C_i|) <= b_i/|W|, as
+    V \\ C_i contains W.  A cut with both sides connected has b <= m - n + 2
+    (two spanning trees and b cut edges among the m), so on a tree every
+    such cut is one bridge.  With k = n // 2, any cut with b >= 2 has
+    ratio >= 2/k.  So with w_b the largest smaller side over the bridges
+    (:func:`_largest_bridge_side`), a connected graph with m = n - 1 or
+    2 w_b >= k has optimum (1, w_b), and no subset search is run.
+
+    Otherwise each connected W is visited once, by ESU extension
     (Wernicke 2006) from its smallest vertex, and x joining W changes the
     boundary by deg(x) - 2 |nbr(x) & W|.  Returns ``(-1, 1)`` when
     n < 2, where no subset qualifies.
@@ -256,6 +322,9 @@ def best_cheeger_cut(n_vertices: int, eu: np.ndarray, ev: np.ndarray):
     for u, v in zip(eu.tolist(), ev.tolist()):
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
+    w_b = _largest_bridge_side(nbr)
+    if w_b is not None and (len(eu) == n_vertices - 1 or 2 * w_b >= k):
+        return 1, w_b
     deg = [m.bit_count() for m in nbr]
     best_b, best_w = min(deg), 1
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .config import ExperimentConfig
 from .exceptions import DomainError, InsufficientDataError, PerclapError
-from .isoperimetry import VIOLATION_KINDS, check_shape
+from .isoperimetry import VIOLATION_KINDS, check_stack
 from .laplacian import ALL_BCS, BoundaryCondition
 from .lattice import LatticeBox, ShapeEnsemble, graph_to_json_dict, sample_graph
 from .spectral import default_grid, empirical_ids, require_dense, shape_spectra
@@ -97,15 +97,19 @@ def _run_ids(cfg, ensemble, grid, outputs, out, cache):
         outputs[sname] = _write_json(out / sname, summary)
 
 
-def _report_row(rep) -> str:
-    """One report.csv row; the Cheeger fields are empty above the cutoff."""
-    h = "" if rep.h_cheeger is None else _fmt(rep.h_cheeger)
-    margin = "" if rep.cheeger_margin is None else _fmt(rep.cheeger_margin)
-    return (
-        f"{rep.n_vertices},{_fmt(rep.e1_neumann)},{_fmt(rep.e1_pseudo_dirichlet)},"
-        f"{_fmt(rep.e1_dirichlet)},{h},{margin},{_fmt(rep.crude_margin)},"
-        f"{_fmt(rep.fk_ratio)}"
-    )
+def _report_rows(rep) -> list:
+    """The report.csv rows, each with its newline, of a
+    :class:`~perclap.isoperimetry.StackReport`; the Cheeger fields are
+    empty above the cutoff."""
+    n = rep.n_vertices
+    return [
+        f"{n},{_fmt(e_n)},{_fmt(e_dt)},{_fmt(e_d)},{'' if h is None else _fmt(h)},"
+        f"{'' if margin is None else _fmt(margin)},{_fmt(crude)},{_fmt(fk)}\n"
+        for e_n, e_dt, e_d, h, margin, crude, fk in zip(
+            rep.e1_neumann.tolist(), rep.e1_pseudo_dirichlet.tolist(),
+            rep.e1_dirichlet.tolist(), rep.h_cheeger, rep.cheeger_margin,
+            rep.crude_margin.tolist(), rep.fk_ratio.tolist())
+    ]
 
 
 # clusters per chunk of report.csv rows joined and written at a time
@@ -115,29 +119,35 @@ _REPORT_CHUNK = 1 << 14
 def _run_verify(cfg, ensemble, grid, outputs, out, cache):
     """Check every shape on the spectra that ``ids`` shares: one
     :func:`shape_spectra` call per boundary condition, after refusing
-    the first shape above the dense threshold before any solve."""
-    for c in ensemble.shapes:
-        require_dense(c.n_vertices)
+    the first shape above the dense threshold before any solve, then one
+    :func:`check_stack` per vertex count on the stacked spectra."""
+    sizes = np.array([c.n_vertices for c in ensemble.shapes])
+    for n in sizes.tolist():
+        require_dense(n)
     by_bc = {bc: shape_spectra(ensemble, bc, cache) for bc in ALL_BCS}
-    rows = np.empty(len(ensemble.shapes), dtype=object)  # shape id -> report.csv row
-    has_row = np.zeros(len(ensemble.shapes), dtype=bool)
+    # shape id -> report.csv row with its newline, for shapes of 2 or more vertices
+    rows = np.empty(len(ensemble.shapes), dtype=object)
     violations = dict.fromkeys(VIOLATION_KINDS, 0)
     fk_min = None
-    for sid, (c, m) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist())):
-        counts, rep = check_shape(c, grid, {bc: s[sid] for bc, s in by_bc.items()})
+    by_size = np.argsort(sizes, kind="stable")
+    for sids in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        shapes = [ensemble.shapes[sid] for sid in sids.tolist()]
+        stacks = {bc: np.stack([s[sid] for sid in sids.tolist()]) for bc, s in by_bc.items()}
+        counts, rep = check_stack(shapes, stacks, grid)
+        weights = ensemble.counts[sids]
         for kind, k in counts.items():
-            violations[kind] += m * k
+            violations[kind] += int(k @ weights)
         if rep is None:
             continue
-        fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
-        rows[sid] = _report_row(rep)
-        has_row[sid] = True
+        fk = float(rep.fk_ratio.min())
+        fk_min = fk if fk_min is None else min(fk_min, fk)
+        rows[sids] = np.array(_report_rows(rep), dtype=object)
 
     def lines():
         yield "size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio\n"
         for lo in range(0, ensemble.order.size, _REPORT_CHUNK):
             sids = ensemble.order[lo:lo + _REPORT_CHUNK]
-            yield "".join(f"{row}\n" for row in rows[sids[has_row[sids]]].tolist())
+            yield "".join(rows[sids[sizes[sids] > 1]].tolist())
 
     outputs["report.csv"] = _write_chunks(out / "report.csv", lines())
     summary = {

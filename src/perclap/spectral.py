@@ -390,32 +390,6 @@ def summarize(cluster: Cluster, bc: BoundaryCondition) -> SpectralSummary:
     return SpectralSummary(cluster.n_vertices, bc, eigs, lowest_nonzero(eigs, bc))
 
 
-# Checks on the spectra of one cluster, as returned by cluster_spectra;
-# isoperimetry.check_shape applies them with verify's tolerances and caps.
-
-
-def range_violations(spectra: dict, d: int, tol: float) -> int:
-    """Number of spectra with an eigenvalue outside [-tol, 4d + tol]."""
-    width = 4 * d
-    return sum(1 for e in spectra.values() if e[0] < -tol or e[-1] > width + tol)
-
-
-def reflection_deviation(spectra: dict, d: int) -> float:
-    """Max entrywise |sorted spec(D) - (4d - reversed sorted spec(N))|."""
-    e_n = spectra[BoundaryCondition.NEUMANN]
-    e_d = spectra[BoundaryCondition.DIRICHLET]
-    return float(np.abs(e_d - (4 * d - e_n[::-1])).max())
-
-
-def chain_holds(spectra: dict, grid: np.ndarray) -> bool:
-    """Eigenvalue counts ordered N >= Dt >= D at every grid energy."""
-    c_n = np.searchsorted(spectra[BoundaryCondition.NEUMANN], grid, side="right")
-    c_dt = np.searchsorted(spectra[BoundaryCondition.PSEUDO_DIRICHLET], grid, side="right")
-    c_d = np.searchsorted(spectra[BoundaryCondition.DIRICHLET], grid, side="right")
-    # array methods rather than np.all: this runs once per shape in verify
-    return bool((c_n >= c_dt).all() and (c_dt >= c_d).all())
-
-
 def default_grid(d: int, points: int = 512, refine: int = 40) -> np.ndarray:
     """Uniform grid on [0, 4d] plus geometric refinement at both edges."""
     width = 4.0 * d

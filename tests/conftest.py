@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from perclap import LatticeBox, sample_graph
+from perclap import LatticeBox, cheeger_constant, sample_graph
+from perclap.isoperimetry import EXHAUSTIVE_CUTOFF, IsoperimetryReport
 from perclap.kernels import derive_seed
+from perclap.laplacian import ALL_BCS
+
+N, DT, D = ALL_BCS
 
 
 def dfs_components(n_vertices, eu, ev):
@@ -49,6 +53,46 @@ def reference_laplacian(cluster, bc_name):
     else:
         raise ValueError(bc_name)
     return a
+
+
+# Scalar oracles of verify's checks on the spectra of one cluster, as
+# ``cluster_spectra`` returns them; isoperimetry.check_stack makes the
+# same checks on stacks of shapes.
+
+
+def range_violations(spectra, d, tol):
+    """Number of spectra with an eigenvalue outside [-tol, 4d + tol]."""
+    return sum(1 for e in spectra.values() if e[0] < -tol or e[-1] > 4 * d + tol)
+
+
+def reflection_deviation(spectra, d):
+    """Max entrywise |sorted spec(D) - (4d - reversed sorted spec(N))|."""
+    return float(np.abs(spectra[D] - (4 * d - spectra[N][::-1])).max())
+
+
+def chain_holds(spectra, grid):
+    """Eigenvalue counts ordered N >= Dt >= D at every grid energy."""
+    c_n, c_dt, c_d = (np.searchsorted(spectra[bc], grid, side="right") for bc in (N, DT, D))
+    return bool(np.all(c_n >= c_dt) and np.all(c_dt >= c_d))
+
+
+def reference_report(cluster, spectra):
+    """The IsoperimetryReport of one cluster of 2 or more vertices, field
+    by field: gaps, Cheeger margin of E1_N >= h^2/(4d) up to the cutoff,
+    crude margin of E1_N >= 1/(d n^2), FK ratio E1_Dt n^(2/d)."""
+    n, d = cluster.n_vertices, cluster.d
+    e1_n, e1_dt, e1_d = float(spectra[N][1]), float(spectra[DT][0]), float(spectra[D][0])
+    h = cheeger_constant(cluster) if n <= EXHAUSTIVE_CUTOFF else None
+    return IsoperimetryReport(
+        n_vertices=n,
+        e1_neumann=e1_n,
+        e1_pseudo_dirichlet=e1_dt,
+        e1_dirichlet=e1_d,
+        h_cheeger=h,
+        cheeger_margin=None if h is None else e1_n - float(h * h) / (4 * d),
+        crude_margin=e1_n - 1.0 / (d * n * n),
+        fk_ratio=e1_dt * n ** (2.0 / d),
+    )
 
 
 @pytest.fixture(scope="session")

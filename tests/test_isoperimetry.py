@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perclap import (
     DomainError,
@@ -26,12 +28,14 @@ from perclap.isoperimetry import (
     EXHAUSTIVE_CUTOFF,
     REFLECTION_MAX_VERTICES,
     VIOLATION_KINDS,
-    report_cluster,
+    check_stack,
 )
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS
 from perclap.lattice import Cluster
 from perclap.spectral import cluster_spectra
+
+from conftest import chain_holds, reference_report
 
 N, DT, D = ALL_BCS
 ISOLATED = Cluster(1, np.array([0]), np.zeros((1, 1), dtype=np.int64),
@@ -59,11 +63,12 @@ def test_cheeger_size_limits():
 
 def test_cheeger_bound_margins_nonnegative():
     g = sample_graph(LatticeBox(2, 10), 0.4, derive_seed(81, 0))
+    grid = np.linspace(0.0, 8.0, 65)
     seen = 0
     for c in clusters(g):
         if c.n_vertices < 2:
             continue
-        rep = report_cluster(c)
+        _, rep = check_shape(c, grid)
         assert rep.crude_margin >= -1e-12
         if c.n_vertices <= EXHAUSTIVE_CUTOFF:
             assert rep.cheeger_margin >= -1e-12
@@ -102,15 +107,20 @@ def test_cubic_bound_margins():
 
 
 def test_report_cluster_fields():
+    """check_shape's report of one cluster, field by field as the oracle
+    computes it, with no Cheeger fields above the cutoff."""
+    grid = np.linspace(0.0, 8.0, 65)
     c = make_linear_cluster(6, 2)
-    rep = report_cluster(c)
+    _, rep = check_shape(c, grid)
+    assert rep == reference_report(c, cluster_spectra(c))
     assert rep.n_vertices == 6
     assert rep.h_cheeger == Fraction(1, 3)
     assert rep.cheeger_margin >= 0
     assert rep.crude_margin >= 0
     assert rep.fk_ratio > 0
     big = make_linear_cluster(EXHAUSTIVE_CUTOFF + 5, 2)
-    rep_big = report_cluster(big)
+    _, rep_big = check_shape(big, grid)
+    assert rep_big == reference_report(big, cluster_spectra(big))
     assert rep_big.h_cheeger is None and rep_big.cheeger_margin is None
 
 
@@ -121,7 +131,7 @@ def test_check_shape_counts_each_violation_kind():
     true = cluster_spectra(c, {})
     zeros = dict.fromkeys(VIOLATION_KINDS, 0)
     counts, rep = check_shape(c, grid, true)
-    assert counts == zeros and rep == report_cluster(c, true)
+    assert counts == zeros and rep == reference_report(c, true)
     e_n, e_dt, e_d = (true[bc] for bc in ALL_BCS)
     gap = 0.01
     cases = [
@@ -152,3 +162,32 @@ def test_check_shape_reflection_size_cap():
         counts, _ = check_shape(c, grid, {**spectra, D: off})
         assert counts["reflection"] == int(n <= REFLECTION_MAX_VERTICES)
         assert sum(counts.values()) == counts["reflection"]
+
+
+@st.composite
+def _chain_cases(draw):
+    """A grid with ties, and k stacked N, Dt and D spectra of n values
+    each, many of them exactly on grid points."""
+    grid = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 3.75, 4.0])
+                         | st.floats(0.0, 4.0), min_size=1, max_size=12))
+    value = st.sampled_from(grid) | st.floats(-0.5, 4.5)
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    spectra = {bc: np.sort(np.array(draw(st.lists(value, min_size=k * n, max_size=k * n)))
+                           .reshape(k, n), axis=1) for bc in ALL_BCS}
+    return np.array(grid), spectra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_cases())
+def test_positional_chain_rule_matches_grid_counts(case):
+    """check_stack's chain rule on positions (pos_N <= pos_Dt <= pos_D,
+    pos the number of grid energies below each eigenvalue) flags exactly
+    the rows whose counts at some grid energy break N >= Dt >= D."""
+    grid, spectra = case
+    k, n = spectra[N].shape
+    shape = ISOLATED if n == 1 else make_linear_cluster(n, 1)
+    counts, _ = check_stack([shape] * k, spectra, grid[::-1])
+    want = [int(not chain_holds({bc: s[i] for bc, s in spectra.items()}, grid))
+            for i in range(k)]
+    assert counts["chain"].tolist() == want

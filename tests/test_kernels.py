@@ -373,6 +373,69 @@ def test_cheeger_cut_matches_bitmask_search_on_full_boxes():
         assert got[0] * w == b * got[1], shape
 
 
+def _prufer_tree(n, code):
+    """The labeled tree on n >= 2 vertices with Pruefer sequence ``code``."""
+    degree = [1] * n
+    for x in code:
+        degree[x] += 1
+    edges = []
+    for x in code:
+        leaf = min(v for v in range(n) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u, v = (v for v in range(n) if degree[v] == 1)
+    return edges + [(u, v)]
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A random tree (Pruefer), a tree plus one edge (unicyclic) or a tree
+    plus several edges, each edge in a random orientation."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    tree = _prufer_tree(n, draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                                         max_size=n - 2)))
+    present = {frozenset(e) for e in tree}
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if frozenset((u, v)) not in present]
+    extra = draw(st.sampled_from([0, 1, n]))
+    chords = draw(st.lists(st.sampled_from(absent), max_size=extra, unique=True)
+                  if absent and extra else st.just([]))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in tree + chords]
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_graphs())
+# a 9-cycle with a 2-vertex pendant path: h = 2/5 (5 vertices of the
+# cycle and path, cut by 2 cycle edges), while the best bridge gives 1/2
+# and 2 w_b = 4 = k - 1 falls one short of the bridge bound
+@example((11, [(i, (i + 1) % 9) for i in range(9)] + [(0, 9), (9, 10)]))
+# a triangle and a 3-vertex path: m = n - 1 but disconnected, h = 0
+@example((6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]))
+def test_cheeger_cut_matches_bitmask_search_on_connected_graphs(graph):
+    """Trees, where every cut is settled by a bridge, unicyclic and denser
+    connected graphs, where the bridge bound settles some and the subset
+    search the rest."""
+    n, edges = graph
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    _assert_same_ratio(n, eu, ev)
+
+
+def test_cheeger_cut_of_a_lattice_comb():
+    """A 20-vertex spine in x with a 9-vertex tooth in y at each spine
+    vertex: 200 vertices, a tree, far beyond any subset search.  Every
+    cut has a boundary edge and 2|W| <= 200, so h >= 1/100, and cutting
+    the spine in the middle leaves 10 teeth of 10 vertices on each side:
+    h = 1/100."""
+    index = np.arange(200).reshape(20, 10)  # (x, y); y = 0 is the spine
+    eu = np.concatenate((index[:-1, 0], index[:, :-1].ravel()))
+    ev = np.concatenate((index[1:, 0], index[:, 1:].ravel()))
+    b, w = kernels.best_cheeger_cut(200, eu, ev)
+    assert 100 * b == w
+
+
 def test_sampling_identical_across_processes():
     """A fresh interpreter samples the same open edges as this one."""
     src = str(Path(perclap.__file__).resolve().parents[1])

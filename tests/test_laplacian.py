@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from conftest import reference_laplacian
+from conftest import chain_holds, reference_laplacian, reflection_deviation
 from perclap import LatticeBox, clusters, make_cubic_cluster, make_linear_cluster, sample_graph
 from perclap.isoperimetry import REFLECTION_TOL
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, assemble
-from perclap.spectral import chain_holds, cluster_spectra, reflection_deviation
+from perclap.spectral import cluster_spectra
 
 N, DT, D = ALL_BCS
 
