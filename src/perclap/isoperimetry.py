@@ -59,6 +59,12 @@ def crude_margin(e1_n, n: int, d: int):
     return e1_n - 1.0 / (d * n * n)
 
 
+def fk_scale(e1_dt, n: int, d: int):
+    """E1_Dt * n^(2/d), the scale-free Faber-Krahn ratio of n-vertex
+    clusters; ``e1_dt`` is a float or an array of their gaps."""
+    return e1_dt * n ** (2.0 / d)
+
+
 def fk_ratio(cluster: Cluster, spectra=None) -> float:
     """E1_Dt * |V|^(2/d), the scale-free Faber-Krahn ratio.
 
@@ -70,7 +76,7 @@ def fk_ratio(cluster: Cluster, spectra=None) -> float:
         raise DomainError("Faber-Krahn ratio needs at least 2 vertices")
     bc = BoundaryCondition.PSEUDO_DIRICHLET
     eigs = cluster_eigenvalues(cluster, bc) if spectra is None else spectra[bc]
-    return lowest_nonzero(eigs, bc) * n ** (2.0 / cluster.d)
+    return fk_scale(lowest_nonzero(eigs, bc), n, cluster.d)
 
 
 def linear_bound_check(n: int, d: int) -> float:
@@ -178,7 +184,7 @@ def check_stack(shapes, spectra: dict, grid):
             h_cheeger=h,
             cheeger_margin=ch_margin,
             crude_margin=crude_margin(e1_n, n, d),
-            fk_ratio=e1_dt * n ** (2.0 / d),  # as fk_ratio
+            fk_ratio=fk_scale(e1_dt, n, d),
         )
         counts["crude"] = report.crude_margin < -MARGIN_TOL
     return {kind: c.astype(np.int64) for kind, c in counts.items()}, report

@@ -1,8 +1,6 @@
 """Mutation checks: each mutant must make its test selection fail.
 
-    python tools/mutants.py            # run every mutant
-    python tools/mutants.py NAME ...   # run the named ones
-    python tools/mutants.py --list
+    python tools/mutants.py
 
 A mutant replaces one exact text (its anchor) in one file of ``src/``
 with a deliberate fault.  For each, ``src/``, ``tests/`` and
@@ -13,11 +11,10 @@ test fails; an error that stops pytest before any test fails (a
 collection error, say) does not kill it.  First the selections run
 once together on the unpatched copy, and they must pass.  The script
 exits 1 if any anchor does not occur exactly once (checked for every
-selected mutant before any test runs), if that control run fails or if
+mutant before any test runs), if that control run fails or if
 any mutant survives.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -208,31 +205,18 @@ def _first_failure(proc) -> str:
     return next((ln for ln in lines if ln.startswith(("FAILED", "ERROR"))), lines[-1])
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    ap.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = ap.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        ap.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] or list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}  ({m.file}; -k {m.select!r})\n    {m.why}")
-        return 0
-    if check_anchors(chosen):
+def main() -> int:
+    if check_anchors(MUTANTS):
         return 1
     start = time.monotonic()
-    control = run_selection(" or ".join(sorted({f"({m.select})" for m in chosen})))
+    control = run_selection(" or ".join(sorted({f"({m.select})" for m in MUTANTS})))
     if control.returncode != 0:
         print(f"CONTROL the unpatched selections fail: {_first_failure(control)}", flush=True)
         return 1
     print(f"control: the unpatched selections pass ({time.monotonic() - start:.1f} s)",
           flush=True)
     survived = []
-    for m in chosen:
+    for m in MUTANTS:
         t = time.monotonic()
         proc = run_selection(m.select, m)
         killed = proc.returncode == 1  # pytest's exit code for failed tests
@@ -240,7 +224,7 @@ def main(argv=None) -> int:
               f": {_first_failure(proc)}", flush=True)
         if not killed:
             survived.append(m.name)
-    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed "
           f"in {time.monotonic() - start:.1f} s", flush=True)
     return 1 if survived else 0
 
