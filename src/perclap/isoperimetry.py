@@ -49,8 +49,13 @@ def cheeger_constant(cluster: Cluster) -> Fraction:
 
 
 def cheeger_margin(e1_n: float, h: Fraction, d: int) -> float:
-    """Margin of E1_N >= h_Ch^2 / (4d); nonnegative when the bound holds."""
-    return e1_n - float(h * h) / (4 * d)
+    """Margin of E1_N >= h_Ch^2 / (4d); nonnegative when the bound holds.
+
+    With h = a/b, h^2 is the int true division a^2 / b^2, which Python
+    rounds correctly, so it is the float of ``h * h`` without building
+    that Fraction.
+    """
+    return e1_n - h.numerator**2 / h.denominator**2 / (4 * d)
 
 
 def crude_margin(e1_n, n: int, d: int):

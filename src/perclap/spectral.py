@@ -464,21 +464,22 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
 
     if cache is None:
         cache = _SPECTRUM_CACHE
-    pools, weights = [], []
+    pools, dense_ids = [], []
     extra = None
     spectra = shape_spectra(ensemble, bc, cache)
-    for c, m, eigs in zip(ensemble.shapes, ensemble.counts.tolist(), spectra):
+    for i, (c, m, eigs) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist(), spectra)):
         if eigs is None:
             inertia = m * giant_grid_counts(c, bc, grid, cache)
             extra = inertia if extra is None else extra + inertia
         else:
             pools.append(eigs)
-            weights.append(np.full(eigs.size, m, dtype=np.int64))
+            dense_ids.append(i)
     if pools:
         values = np.concatenate(pools)
         rank = np.argsort(values, kind="stable")
         values = values[rank]
-        cumulative = np.concatenate(([0], np.cumsum(np.concatenate(weights)[rank])))
+        weights = np.repeat(ensemble.counts[dense_ids], [eigs.size for eigs in pools])
+        cumulative = np.concatenate(([0], np.cumsum(weights[rank])))
     else:
         values, cumulative = np.empty(0), np.zeros(1, dtype=np.int64)
 

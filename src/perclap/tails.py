@@ -89,22 +89,69 @@ def _series_truncation_checked(p, energy, n_max):
     return n_max
 
 
+def weight_cutoff(p: float) -> int:
+    """The path length from which on every weight is +0.0 in float64.
+
+    The weight (1-p)^2 p^(n-1) <= p^(n-1), and from n - 1 >= i0 =
+    ceil((1075 ln 2 + 1) / |ln p|) on, p^(n-1) <= e^-1 2^-1075: below
+    0.19 of the smallest subnormal 2^-1074, so a pow within 0.8 ulp of
+    it returns +0.0 and so does the product.  The +1 in the numerator
+    is that margin, 1/|ln p| path lengths; leaving out the (1-p)^2
+    factor adds 2 ln(1-p) / ln p more (under one at p = 0.3).  The
+    series computes the weights of n = 1..i0 + 1 and checks at run time
+    that the last of them is +0.0.
+    """
+    return math.ceil((1075.0 * math.log(2.0) + 1.0) / -math.log(p)) + 1
+
+
+def _weight_prefix(p: float, length: int):
+    """Path lengths n = 1..k and their weights (1-p)^2 p^(n-1), where k
+    is :func:`weight_cutoff` (at most ``length``), or ``length`` if the
+    weight at the cutoff is not +0.0 after all."""
+    def prefix(k):
+        n = np.arange(1, k + 1, dtype=np.float64)
+        return n, (1.0 - p) ** 2 * p ** (n - 1.0)
+
+    k = min(weight_cutoff(p), length)
+    n, weights = prefix(k)
+    if k < length and weights[-1] != 0.0:
+        n, weights = prefix(length)
+    return n, weights
+
+
 def ids_1d_series_many(p, energies, bc, n_max=None) -> np.ndarray:
     """:func:`ids_1d_series` at each energy; each energy gets its own
     truncation by default.
 
     The path weights (1-p)^2 p^(n-1) are computed once, up to the largest
-    truncation, and each energy sums the first ``n_max`` of them.
+    truncation, and each energy sums the first ``n_max`` of them.  Both
+    the weights and the path counts are computed only up to
+    :func:`weight_cutoff` (621 at p = 0.3, where E = 1e-8 truncates at
+    125,664) and left 0.0 past it; the prefix values come from the same
+    elementwise expressions as the full-length ones.  Each dot product
+    still runs over all ``n_max`` terms: every weight past the cutoff is
+    +0.0, so its product with any count is +0.0 and adding it leaves a
+    partial sum as it is.  The dot then sees the same products at the
+    same positions as with every count computed, whatever its reduction
+    order, and the bytes are those of the per-energy body.  A dot over
+    the prefix alone would sum the same nonzero products, but BLAS may
+    group a shorter vector differently (blocks, tails, threads), and
+    float addition is not associative.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"bond probability must be in (0,1), got {p}")
     energies = np.asarray(energies, dtype=np.float64).tolist()
     n_maxes = [_series_truncation_checked(p, e, n_max) for e in energies]
-    n = np.arange(1, max(n_maxes, default=0) + 1, dtype=np.float64)
-    weights = (1.0 - p) ** 2 * p ** (n - 1.0)
-    return np.array([
-        np.dot(weights[:m], _path_counts(e, n[:m], bc)) for e, m in zip(energies, n_maxes)
-    ], dtype=np.float64)
+    length = max(n_maxes, default=0)
+    n, prefix = _weight_prefix(p, length)
+    weights, counts = np.zeros(length), np.zeros(length)
+    weights[:n.size] = prefix
+    out = np.empty(len(energies))
+    for i, (e, m) in enumerate(zip(energies, n_maxes)):
+        k = min(m, n.size)
+        counts[:k] = _path_counts(e, n[:k], bc)
+        out[i] = np.dot(weights[:m], counts[:m])
+    return out
 
 
 @dataclass(frozen=True)

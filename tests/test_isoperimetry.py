@@ -29,6 +29,7 @@ from perclap.isoperimetry import (
     REFLECTION_MAX_VERTICES,
     VIOLATION_KINDS,
     check_stack,
+    cheeger_margin,
 )
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS
@@ -74,6 +75,28 @@ def test_cheeger_bound_margins_nonnegative():
             assert rep.cheeger_margin >= -1e-12
             seen += 1
     assert seen >= 3
+
+
+def test_cheeger_margin_bitwise_equals_fraction_square():
+    """The margin squares h in integers, a^2 / b^2, and gives the float
+    bytes of ``float(h * h)`` for every h = |boundary| / |W| a cluster up
+    to the exhaustive cutoff can have."""
+    for w in range(1, EXHAUSTIVE_CUTOFF // 2 + 1):
+        for b in range(1, 6 * w + 1):
+            h = Fraction(b, w)
+            for d in (1, 2, 3):
+                for e1 in (0.0, 1e-3, 0.3, 2.0 / 3.0, 7.5):
+                    want = e1 - float(h * h) / (4 * d)
+                    assert cheeger_margin(e1, h, d).hex() == want.hex(), (h, d, e1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=0, max_value=2**20, max_denominator=2**40),
+       st.floats(0.0, 12.0), st.integers(1, 3))
+def test_cheeger_margin_equals_fraction_square_on_any_fraction(h, e1, d):
+    """Correct rounding of int true division holds for any numerator and
+    denominator, so the integer square matches the Fraction's float."""
+    assert cheeger_margin(e1, h, d).hex() == (e1 - float(h * h) / (4 * d)).hex()
 
 
 def test_fk_ratio_positive_and_scaling():

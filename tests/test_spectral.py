@@ -234,6 +234,33 @@ def test_empirical_ids_evaluates_giant_counts_on_an_unsorted_grid(monkeypatch):
     assert ids.grid_values.tolist() == sorted(want)
 
 
+def test_empirical_ids_pool_matches_per_shape_weights(monkeypatch):
+    """The pooled ``values`` and ``cumulative`` equal, byte for byte, a
+    pool whose weights are built one ``np.full`` per dense shape, on an
+    ensemble where giant shapes sit between dense ones and so stay out
+    of the pool."""
+    graphs = [sample_graph(LatticeBox(2, 8), 0.5, derive_seed(1, i)) for i in range(3)]
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 6)
+    monkeypatch.setattr(perclap.laplacian, "DENSE_THRESHOLD", 6)
+    ensemble = ShapeEnsemble(graphs)
+    for bc in ALL_BCS:
+        cache = {}
+        ids = empirical_ids(ensemble, bc, cache=cache)
+        spectra = shape_spectra(ensemble, bc, cache)
+        dense = [i for i, eigs in enumerate(spectra) if eigs is not None]
+        giant = [i for i, eigs in enumerate(spectra) if eigs is None]
+        assert ids.extra_grid_counts is not None and min(giant) < max(dense)
+        assert max(ensemble.counts[dense]) > 1
+        values = np.concatenate([spectra[i] for i in dense])
+        rank = np.argsort(values, kind="stable")
+        weights = np.concatenate([np.full(spectra[i].size, ensemble.counts.tolist()[i],
+                                          dtype=np.int64) for i in dense])
+        cumulative = np.concatenate(([0], np.cumsum(weights[rank])))
+        assert ids.values.tobytes() == values[rank].tobytes(), bc
+        assert ids.cumulative.dtype == cumulative.dtype, bc
+        assert ids.cumulative.tobytes() == cumulative.tobytes(), bc
+
+
 def test_inertia_counts_reuse_the_first_elimination_order(giant_clusters, monkeypatch):
     """A - E I has one sparsity pattern at every energy, so only an
     operator's first SuperLU call orders the columns (MMD); every later

@@ -30,6 +30,7 @@ from perclap.tails import (
     ids_1d_series_many,
     origin_cluster_samples,
     series_truncation,
+    weight_cutoff,
 )
 
 N, DT, D = ALL_BCS
@@ -108,19 +109,66 @@ D1_TAIL_WINDOW = np.geomspace(1e-8, 1e-3, 96)  # the d1_paths analytic tail wind
 D1_GRID = default_grid(1)[default_grid(1) > 0]  # as test_07 evaluates it
 
 
-@pytest.mark.parametrize("p, energies", [
-    (0.1, D1_TAIL_WINDOW),
-    (0.3, D1_TAIL_WINDOW),
-    (0.6, D1_TAIL_WINDOW),
-    (0.3, D1_GRID),
-], ids=["window-0.1", "window-0.3", "window-0.6", "grid-0.3"])
-def test_series_shared_weights_equal_per_energy_body(p, energies):
-    """Weights computed once at the largest truncation give the same
-    bytes as the per-energy body."""
+@pytest.mark.parametrize("p, energies, side", [
+    (0.1, D1_TAIL_WINDOW, "above"),
+    (0.3, D1_TAIL_WINDOW, "across"),
+    (0.6, D1_TAIL_WINDOW, "across"),
+    (0.3, D1_GRID, "across"),
+    (0.9, D1_TAIL_WINDOW, "across"),
+    (0.99, D1_TAIL_WINDOW, "across"),
+    (0.999, D1_TAIL_WINDOW, "below"),
+    (0.999, np.geomspace(1e-10, 1e-6, 12), "across"),
+], ids=["window-0.1", "window-0.3", "window-0.6", "grid-0.3",
+        "window-0.9", "window-0.99", "window-0.999", "deep-0.999"])
+def test_series_shared_weights_equal_per_energy_body(p, energies, side):
+    """Weights computed once at the largest truncation, and only up to
+    the weight cutoff, give the same bytes as the per-energy body.
+    ``side`` says where the energies' truncations lie against the
+    cutoff: all above it, on both sides, or all below it (the prefix is
+    then the whole series)."""
+    m = np.array([series_truncation(p, float(e)) for e in energies])
+    k = weight_cutoff(p)
+    assert side == {(True, False): "above", (True, True): "across",
+                    (False, True): "below"}[(m > k).any(), (m < k).any()]
     for bc in (N, DT):
-        want = [_reference_series(p, float(e), bc) for e in energies]
-        assert ids_1d_series_many(p, energies, bc).tolist() == want, bc
+        want = np.array([_reference_series(p, float(e), bc) for e in energies])
+        got = ids_1d_series_many(p, energies, bc)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), bc
         assert ids_1d_series(p, float(energies[-1]), bc) == want[-1]
+
+
+def test_series_of_no_energies_is_empty():
+    for bc in (N, DT):
+        got = ids_1d_series_many(0.3, [], bc)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
+def test_weight_cutoff_is_past_the_last_nonzero_weight():
+    """Every weight from the cutoff's index on is +0.0, and the last
+    nonzero one lies within 2 ln(1-p) / ln p + 1 / |ln p| + 2 lengths
+    of it: the bound ignores the (1-p)^2 factor and keeps one e-fold."""
+    ps = np.concatenate((np.geomspace(1e-3, 0.5, 40), 1.0 - np.geomspace(1e-3, 0.5, 40)))
+    for p in ps.tolist():
+        k = weight_cutoff(p)
+        n = np.arange(1, k + int(3 / -math.log(p)) + 50, dtype=np.float64)
+        weights = (1.0 - p) ** 2 * p ** (n - 1.0)
+        last = int(np.flatnonzero(weights)[-1])  # 0-based: path length last + 1
+        assert not weights[k - 1:].any(), p
+        assert k - 1 - last <= (2 * math.log(1.0 - p) - 1.0) / math.log(p) + 2, p
+
+
+def test_series_prefix_falls_back_to_full_length(monkeypatch):
+    """A cutoff whose last weight is not +0.0 (here the 1e-16 weight
+    truncation) is refused at run time: the series computes every
+    weight, with the same bytes as the per-energy body."""
+    for p in (0.3, 0.9):
+        monkeypatch.setattr(tails, "weight_cutoff",
+                            lambda q: math.ceil(math.log(1e-16) / math.log(q)))
+        got = {bc: ids_1d_series_many(p, D1_TAIL_WINDOW, bc) for bc in (N, DT)}
+        monkeypatch.undo()
+        for bc in (N, DT):
+            want = np.array([_reference_series(p, float(e), bc) for e in D1_TAIL_WINDOW])
+            assert got[bc].tobytes() == want.tobytes(), (p, bc)
 
 
 def test_series_truncation_covers_both_tails():

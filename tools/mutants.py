@@ -164,6 +164,27 @@ MUTANTS = (
         "open_rule",
         "the uniform must be strictly below p",
     ),
+    Mutant(
+        "series-prefix-at-weight-truncation", "tails.py",
+        "    k = min(weight_cutoff(p), length)\n"
+        "    n, weights = prefix(k)\n"
+        "    if k < length and weights[-1] != 0.0:\n",
+        "    k = min(math.ceil(math.log(1e-16) / math.log(p)), length)\n"
+        "    n, weights = prefix(k)\n"
+        "    if False:\n",
+        "series_shared_weights",
+        "the 1e-16 weight truncation is not the underflow bound: a prefix "
+        "cut there, and trusted, drops weights that are not yet +0.0 "
+        "(the run-time check would refuse that cut, so it goes too)",
+    ),
+    Mutant(
+        "series-prefix-unchecked", "tails.py",
+        "    if k < length and weights[-1] != 0.0:\n",
+        "    if False:\n",
+        "falls_back",
+        "a cutoff whose last weight is not +0.0 must fall back to the full "
+        "length, not drop the weights past it",
+    ),
 )
 
 
