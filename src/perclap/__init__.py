@@ -13,7 +13,6 @@ from .exceptions import (
 )
 from .isoperimetry import (
     cheeger_constant,
-    check_shape,
     cubic_bound_check,
     fk_ratio,
     linear_bound_check,
@@ -35,7 +34,6 @@ from .spectral import (
     default_grid,
     eigenvalues,
     empirical_ids,
-    zero_mode_density,
 )
 from .tails import analytic_tail_fit, cluster_size_decay, fit_tail, ids_1d_series
 

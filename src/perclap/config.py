@@ -40,7 +40,6 @@ class ExperimentConfig:
     tail_window: tuple = (1e-8, 1e-3)
     decay_samples: int = 100000
     decay_radius: int | None = None
-    threads: int = 1
     emit_graph: bool = False
 
     def to_dict(self) -> dict:
@@ -137,7 +136,6 @@ def validate(cfg: ExperimentConfig) -> list:
             problems.append(f"{name} must be at most 2**59 - 1, got {value!r}")
     if cfg.decay_radius is not None:
         need_int("decay_radius", 2)
-    need_int("threads", 1)
     if not isinstance(cfg.emit_graph, bool):
         problems.append(f"emit_graph must be true or false, got {cfg.emit_graph!r}")
     if _is_int(cfg.d) and 1 <= cfg.d <= 3:
@@ -172,6 +170,3 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"malformed JSON in {path}: {exc}") from exc
     return config_from_dict(data)
 
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)

@@ -7,8 +7,7 @@ minimal ratio is always attained; the minimum is an integer pair, so
 margins carry no search-side floating error.
 
 :func:`check_stack` is verify's one implementation of every check, on
-the stacked spectra of shapes of one vertex count; :func:`check_shape`
-is the same verdict on one cluster.
+the stacked spectra of shapes of one vertex count.
 """
 
 from dataclasses import dataclass
@@ -20,13 +19,7 @@ from . import kernels
 from .exceptions import DomainError, UnsupportedSizeError
 from .laplacian import ALL_BCS, BoundaryCondition
 from .lattice import Cluster, make_cubic_cluster, make_linear_cluster
-from .spectral import (
-    cluster_eigenvalues,
-    cluster_spectra,
-    lowest_nonzero,
-    summarize,
-    zero_tolerance,
-)
+from .spectral import cluster_eigenvalues, lowest_nonzero, zero_tolerance
 
 EXHAUSTIVE_CUTOFF = 20
 MARGIN_TOL = 1e-12  # a bound margin below -MARGIN_TOL is a violation
@@ -70,52 +63,36 @@ def fk_scale(e1_dt, n: int, d: int):
     return e1_dt * n ** (2.0 / d)
 
 
-def fk_ratio(cluster: Cluster, spectra=None) -> float:
-    """E1_Dt * |V|^(2/d), the scale-free Faber-Krahn ratio.
-
-    ``spectra`` are the cluster's spectra from :func:`cluster_spectra`;
-    without them the spectrum is looked up in the default cache.
-    """
+def fk_ratio(cluster: Cluster) -> float:
+    """E1_Dt * |V|^(2/d), the scale-free Faber-Krahn ratio, from the
+    spectrum in the default cache."""
     n = cluster.n_vertices
     if n < 2:
         raise DomainError("Faber-Krahn ratio needs at least 2 vertices")
     bc = BoundaryCondition.PSEUDO_DIRICHLET
-    eigs = cluster_eigenvalues(cluster, bc) if spectra is None else spectra[bc]
-    return fk_scale(lowest_nonzero(eigs, bc), n, cluster.d)
+    return fk_scale(lowest_nonzero(cluster_eigenvalues(cluster, bc), bc), n, cluster.d)
 
 
 def linear_bound_check(n: int, d: int) -> float:
     """Margin of E1_N(path of n) <= 12/n^2."""
-    e1 = summarize(make_linear_cluster(n, d), BoundaryCondition.NEUMANN).lowest_nonzero
+    bc = BoundaryCondition.NEUMANN
+    e1 = lowest_nonzero(cluster_eigenvalues(make_linear_cluster(n, d), bc), bc)
     return 12.0 / (n * n) - e1
 
 
 def cubic_bound_check(l: int, d: int) -> float:
     """Margin of E1_D(cube of side l) <= 27d/l^2."""
-    e1 = summarize(make_cubic_cluster(l, d), BoundaryCondition.DIRICHLET).lowest_nonzero
+    bc = BoundaryCondition.DIRICHLET
+    e1 = lowest_nonzero(cluster_eigenvalues(make_cubic_cluster(l, d), bc), bc)
     return 27.0 * d / (l * l) - e1
 
 
 @dataclass(frozen=True)
-class IsoperimetryReport:
-    """Eigenvalue bounds of one cluster; h_ch is None above the cutoff."""
-
-    n_vertices: int
-    e1_neumann: float
-    e1_pseudo_dirichlet: float
-    e1_dirichlet: float
-    h_cheeger: Fraction | None
-    cheeger_margin: float | None
-    crude_margin: float
-    fk_ratio: float
-
-
-@dataclass(frozen=True)
 class StackReport:
-    """The :class:`IsoperimetryReport` fields of shapes of one vertex
-    count, as columns: entry i belongs to shape i.  ``h_cheeger`` and
-    ``cheeger_margin`` are lists, of None above the cutoff; the other
-    columns are float64 arrays."""
+    """Eigenvalue bounds of shapes of one vertex count, as columns: entry
+    i belongs to shape i.  ``h_cheeger`` and ``cheeger_margin`` are
+    lists, of None above the cutoff; the other columns are float64
+    arrays."""
 
     n_vertices: int
     e1_neumann: np.ndarray
@@ -125,14 +102,6 @@ class StackReport:
     cheeger_margin: list
     crude_margin: np.ndarray
     fk_ratio: np.ndarray
-
-    def row(self, i: int) -> IsoperimetryReport:
-        """The report of shape i."""
-        return IsoperimetryReport(
-            self.n_vertices, float(self.e1_neumann[i]), float(self.e1_pseudo_dirichlet[i]),
-            float(self.e1_dirichlet[i]), self.h_cheeger[i], self.cheeger_margin[i],
-            float(self.crude_margin[i]), float(self.fk_ratio[i]),
-        )
 
 
 def check_stack(shapes, spectra: dict, grid):
@@ -194,20 +163,3 @@ def check_stack(shapes, spectra: dict, grid):
         counts["crude"] = report.crude_margin < -MARGIN_TOL
     return {kind: c.astype(np.int64) for kind, c in counts.items()}, report
 
-
-def check_shape(cluster: Cluster, grid, spectra=None):
-    """Verify's verdict on one cluster: ``(counts, report)``, from
-    :func:`check_stack` on a stack of one.
-
-    ``counts`` maps each of :data:`VIOLATION_KINDS` to the cluster's
-    violations, ``report`` is the :class:`IsoperimetryReport` that
-    ``cheeger`` and ``crude`` are read from, or None for a single
-    vertex.  ``spectra`` are the cluster's spectra from
-    :func:`cluster_spectra`; without them they are looked up in the
-    default cache.
-    """
-    if spectra is None:
-        spectra = cluster_spectra(cluster)
-    counts, report = check_stack([cluster], {bc: spectra[bc][None] for bc in ALL_BCS}, grid)
-    return ({kind: int(c[0]) for kind, c in counts.items()},
-            None if report is None else report.row(0))

@@ -154,6 +154,14 @@ def _readonly(*arrays):
         a.setflags(write=False)
 
 
+def make_cluster(d, vertices, coords, edges) -> Cluster:
+    """A read-only Cluster of the int64 arrays given, with the degrees
+    counted from its edges; every Cluster the library makes is built here."""
+    degrees = np.bincount(edges.ravel(), minlength=vertices.size).astype(np.int64, copy=False)
+    _readonly(vertices, coords, edges, degrees)
+    return Cluster(d, vertices, coords, edges, degrees)
+
+
 class ClusterSequence(Sequence):
     """The clusters of one realization, ordered by smallest vertex.
 
@@ -200,12 +208,9 @@ class ClusterSequence(Sequence):
             yield self._cluster(s, t, es, et)
 
     def _cluster(self, s, t, es, et):
-        vertices, edges = self.order[s:t], self.edges[es:et]
-        coords = self.box.coords(vertices)
+        vertices = self.order[s:t]
         # every edge of a component has both ends in it
-        degrees = np.bincount(edges.ravel(), minlength=t - s).astype(np.int64, copy=False)
-        _readonly(coords, degrees)
-        return Cluster(self.d, vertices, coords, edges, degrees)
+        return make_cluster(self.d, vertices, self.box.coords(vertices), self.edges[es:et])
 
 
 def clusters(graph: PercolationGraph) -> ClusterSequence:
@@ -323,11 +328,7 @@ def _key_columns(columns, box, seq):
 def _isolated_vertex(box, v):
     """A read-only Cluster of the single vertex v of box."""
     vertices = np.array([v], dtype=np.int64)
-    coords = box.coords(vertices)
-    edges = np.empty((0, 2), dtype=np.int64)
-    degrees = np.zeros(1, dtype=np.int64)
-    _readonly(vertices, coords, edges, degrees)
-    return Cluster(box.d, vertices, coords, edges, degrees)
+    return make_cluster(box.d, vertices, box.coords(vertices), np.empty((0, 2), dtype=np.int64))
 
 
 def _join(parts):
@@ -414,22 +415,7 @@ class _KeyMaterial:
         vertices = self.vertices[self.vstart[c]:self.vstart[c] + n].astype(np.int64)
         edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).astype(np.int64)
         coords = LatticeBox(self.d, int(self.side[c])).coords(vertices)
-        degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
-        _readonly(vertices, coords, edges, degrees)
-        return Cluster(self.d, vertices, coords, edges, degrees)
-
-
-def _cluster_from_coords(d, coords, edge_pairs):
-    """Build a Cluster from explicit coordinates and local edge pairs."""
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, d)
-    n = coords.shape[0]
-    edges = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
-    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
-    # linearize within the bounding box for portable global ids
-    side = int(coords.max(initial=0)) + 1 if n else 1
-    powers = side ** np.arange(d, dtype=np.int64)
-    vertices = coords @ powers
-    return Cluster(d, vertices, coords, edges, degrees)
+        return make_cluster(self.d, vertices, coords, edges)
 
 
 def make_linear_cluster(n: int, d: int) -> Cluster:
@@ -438,10 +424,11 @@ def make_linear_cluster(n: int, d: int) -> Cluster:
         raise DomainError(f"linear cluster needs n >= 2, got {n}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    vertices = np.arange(n, dtype=np.int64)
     coords = np.zeros((n, d), dtype=np.int64)
-    coords[:, 0] = np.arange(n)
-    edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
-    return _cluster_from_coords(d, coords, edges)
+    coords[:, 0] = vertices
+    edges = np.column_stack((vertices[:-1], vertices[1:]))
+    return make_cluster(d, vertices, coords, edges)
 
 
 def make_cubic_cluster(l: int, d: int) -> Cluster:
@@ -453,7 +440,4 @@ def make_cubic_cluster(l: int, d: int) -> Cluster:
     box = LatticeBox(d, l)
     eu, ev = box.candidate_edges()
     verts = np.arange(box.n_vertices, dtype=np.int64)
-    coords = box.coords(verts)
-    edges = np.column_stack((eu, ev))
-    degrees = np.bincount(edges.ravel(), minlength=verts.size).astype(np.int64)
-    return Cluster(d, verts, coords, edges, degrees)
+    return make_cluster(d, verts, box.coords(verts), np.column_stack((eu, ev)))

@@ -37,7 +37,6 @@ import scipy.sparse.linalg
 
 from .exceptions import DomainError, NumericError
 from .laplacian import (
-    ALL_BCS,
     DENSE_THRESHOLD,
     BoundaryCondition,
     SymmetricOperator,
@@ -362,32 +361,12 @@ def shape_spectra(ensemble: ShapeEnsemble, bc: BoundaryCondition, cache) -> list
     return spectra
 
 
-def cluster_spectra(cluster: Cluster, cache=None) -> dict:
-    """Cached spectra of one cluster under every boundary condition."""
-    return {bc: cluster_eigenvalues(cluster, bc, cache) for bc in ALL_BCS}
-
-
 def lowest_nonzero(eigs: np.ndarray, bc: BoundaryCondition) -> float:
     """Spectral gap: the second Neumann eigenvalue (the first is the zero
     mode), otherwise the first; NaN for a single Neumann eigenvalue."""
     if bc is BoundaryCondition.NEUMANN:
         return float(eigs[1]) if eigs.size >= 2 else float("nan")
     return float(eigs[0])
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Eigenvalue list and spectral gap of one cluster."""
-
-    n_vertices: int
-    bc: BoundaryCondition
-    eigenvalues: np.ndarray
-    lowest_nonzero: float
-
-
-def summarize(cluster: Cluster, bc: BoundaryCondition) -> SpectralSummary:
-    eigs = cluster_eigenvalues(cluster, bc)
-    return SpectralSummary(cluster.n_vertices, bc, eigs, lowest_nonzero(eigs, bc))
 
 
 def default_grid(d: int, points: int = 512, refine: int = 40) -> np.ndarray:
@@ -506,18 +485,3 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         extra_grid_counts=extra,
     )
 
-
-def zero_mode_density(graphs, tol: float | None = None) -> float:
-    """Density of Neumann zero modes; equals (#clusters)/(total vertices).
-
-    ``graphs`` are realizations of one dimension or their
-    :class:`ShapeEnsemble`.
-    """
-    ensemble = graphs if isinstance(graphs, ShapeEnsemble) else ShapeEnsemble(graphs)
-    if tol is None:
-        tol = zero_tolerance(ensemble.d)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    # a giant shape's zero mode is in the grid counts, not in the pooled values
-    ids = empirical_ids(ensemble, BoundaryCondition.NEUMANN, grid=[tol])
-    return float(ids.evaluate(tol))

@@ -1,12 +1,21 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import perclap
 from perclap import LatticeBox, cheeger_constant, sample_graph
-from perclap.isoperimetry import EXHAUSTIVE_CUTOFF, IsoperimetryReport
+from perclap.isoperimetry import EXHAUSTIVE_CUTOFF
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS
+from perclap.spectral import cluster_eigenvalues
 
 N, DT, D = ALL_BCS
+SRC = str(Path(perclap.__file__).resolve().parents[1])
 
 
 def dfs_components(n_vertices, eu, ev):
@@ -56,8 +65,13 @@ def reference_laplacian(cluster, bc_name):
 
 
 # Scalar oracles of verify's checks on the spectra of one cluster, as
-# ``cluster_spectra`` returns them; isoperimetry.check_stack makes the
-# same checks on stacks of shapes.
+# ``spectra_of`` returns them; isoperimetry.check_stack makes the same
+# checks on stacks of shapes.
+
+
+def spectra_of(cluster):
+    """The spectra of one cluster, by boundary condition, solved afresh."""
+    return {bc: cluster_eigenvalues(cluster, bc, {}) for bc in ALL_BCS}
 
 
 def range_violations(spectra, d, tol):
@@ -77,22 +91,55 @@ def chain_holds(spectra, grid):
 
 
 def reference_report(cluster, spectra):
-    """The IsoperimetryReport of one cluster of 2 or more vertices, field
-    by field: gaps, Cheeger margin of E1_N >= h^2/(4d) up to the cutoff,
-    crude margin of E1_N >= 1/(d n^2), FK ratio E1_Dt n^(2/d)."""
+    """The report of one cluster of 2 or more vertices, by the name of
+    its :class:`~perclap.isoperimetry.StackReport` column: gaps, Cheeger
+    margin of E1_N >= h^2/(4d) up to the cutoff, crude margin of
+    E1_N >= 1/(d n^2), FK ratio E1_Dt n^(2/d)."""
     n, d = cluster.n_vertices, cluster.d
     e1_n, e1_dt, e1_d = float(spectra[N][1]), float(spectra[DT][0]), float(spectra[D][0])
     h = cheeger_constant(cluster) if n <= EXHAUSTIVE_CUTOFF else None
-    return IsoperimetryReport(
-        n_vertices=n,
-        e1_neumann=e1_n,
-        e1_pseudo_dirichlet=e1_dt,
-        e1_dirichlet=e1_d,
-        h_cheeger=h,
-        cheeger_margin=None if h is None else e1_n - float(h * h) / (4 * d),
-        crude_margin=e1_n - 1.0 / (d * n * n),
-        fk_ratio=e1_dt * n ** (2.0 / d),
-    )
+    return {
+        "n_vertices": n,
+        "e1_neumann": e1_n,
+        "e1_pseudo_dirichlet": e1_dt,
+        "e1_dirichlet": e1_d,
+        "h_cheeger": h,
+        "cheeger_margin": None if h is None else e1_n - float(h * h) / (4 * d),
+        "crude_margin": e1_n - 1.0 / (d * n * n),
+        "fk_ratio": e1_dt * n ** (2.0 / d),
+    }
+
+
+def assert_report_columns(rep, shapes, spectra):
+    """Every column of the StackReport ``rep`` of ``shapes`` equals
+    bitwise the fields :func:`reference_report` gives shape by shape."""
+    rows = [reference_report(c, {bc: s[i] for bc, s in spectra.items()})
+            for i, c in enumerate(shapes)]
+    assert rep.n_vertices == rows[0]["n_vertices"]
+    for name in rows[0]:
+        if name == "n_vertices":
+            continue
+        column = getattr(rep, name)
+        got = column.tolist() if isinstance(column, np.ndarray) else column
+        want = [row[name] for row in rows]
+        # hex tells 0.0 from -0.0; == compares each Cheeger constant exactly
+        assert [None if x is None else float(x).hex() for x in got] == \
+            [None if x is None else float(x).hex() for x in want], name
+        assert got == want, name
+
+
+def run_single_blas_thread(cfg: dict, task: str, out) -> None:
+    """Run the CLI on ``cfg`` in a fresh interpreter whose OpenBLAS pool
+    has one thread, writing its outputs to ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True)
+    config = out.parent / f"{out.name}.json"
+    config.write_text(json.dumps(cfg))
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "perclap.cli", task, "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,9 @@ realizations; per-cluster spectra are cached across tests by the
 translation-invariant shape key.
 """
 
+import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +29,10 @@ from perclap.isoperimetry import cubic_bound_check
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS
 from perclap.runner import run
-from perclap.spectral import cluster_eigenvalues, summarize, zero_tolerance
+from perclap.spectral import cluster_eigenvalues, lowest_nonzero, zero_tolerance
 from perclap.tails import analytic_tail_fit, ids_1d_series_many
+
+from conftest import run_single_blas_thread
 
 N, DT, D = ALL_BCS
 
@@ -147,7 +149,7 @@ def test_04_cheeger_bounds(ensemble):
 def test_05_variational_bounds():
     t0 = time.monotonic()
     for n in range(2, 301):
-        e1 = summarize(make_linear_cluster(n, 1), N).lowest_nonzero
+        e1 = lowest_nonzero(cluster_eigenvalues(make_linear_cluster(n, 1), N), N)
         closed = 2.0 * (1.0 - math.cos(math.pi / n))
         assert abs(e1 - closed) < 1e-10
         assert e1 <= 12.0 / (n * n) + 1e-12
@@ -256,19 +258,19 @@ def test_10_cluster_size_decay():
 
 
 def test_11_determinism(tmp_path):
+    """Reruns give the same bytes, and so does a CLI run in a fresh
+    interpreter with a one-thread OpenBLAS pool."""
     base = {"d": 1, "L": 2000, "p": 0.3, "realizations": 3, "seed": 4,
             "task": "all", "decay_samples": 2000}
+    for label in ("a", "b"):
+        run(config_from_dict(base), tmp_path / label)
+    run_single_blas_thread(base, "all", tmp_path / "t")
     runs = {}
-    for label, cfg in (("a", base), ("b", base), ("t", {**base, "threads": 4})):
+    for label in ("a", "b", "t"):
         out = tmp_path / label
-        manifest = run(config_from_dict(cfg), out)
-        runs[label] = {
-            name: (Path(out) / name).read_bytes()
-            for name in list(manifest["outputs"]) + ["manifest.json"]
-        }
-    assert runs["a"] == runs["b"]
-    for name, blob in runs["a"].items():
-        if name != "manifest.json":  # manifest records the thread count
-            assert runs["t"][name] == blob, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs[label] = {name: (out / name).read_bytes()
+                       for name in list(manifest["outputs"]) + ["manifest.json"]}
+    assert runs["a"] == runs["b"] == runs["t"]
     print(f"\nPASS criterion 11: {len(runs['a'])} output files byte-identical "
-          f"across reruns and thread counts")
+          f"across reruns and BLAS thread counts")

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import perclap
 from perclap import (
     ConfigurationError,
     LatticeBox,
@@ -28,16 +27,14 @@ from perclap.config import (
     SIZE_FIELDS,
     TASKS,
     parse_config,
-    serialize_config,
 )
 from perclap.kernels import derive_seed
 from perclap.laplacian import DENSE_THRESHOLD
 from perclap.runner import run
 
-from conftest import reference_laplacian
+from conftest import SRC, reference_laplacian, run_single_blas_thread
 
 MINIMAL = {"d": 1, "L": 500, "p": 0.3}
-SRC = str(Path(perclap.__file__).resolve().parents[1])
 
 
 def _write(tmp_path: Path, data, name="cfg.json") -> str:
@@ -52,18 +49,21 @@ def test_minimal_config_defaults():
     assert cfg.realizations == 1
     assert cfg.boundary_conditions == ("N", "Dt", "D")
     assert cfg.tail_mode == "analytic"
-    assert cfg.threads == 1
 
 
 def test_config_roundtrip():
     cfg = config_from_dict({**MINIMAL, "realizations": 3, "tail_window": [1e-7, 1e-2]})
-    again = config_from_dict(json.loads(serialize_config(cfg)))
+    again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
 
-def test_unknown_key_rejected():
+def test_unknown_key_rejected(tmp_path, capsys):
     with pytest.raises(ConfigurationError, match="unknown key"):
         config_from_dict({**MINIMAL, "turbo": True})
+    # no stage reads a thread count, so the config has no such key
+    cfg = _write(tmp_path, {**MINIMAL, "threads": 1})
+    assert main(["ids", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key: 'threads'" in capsys.readouterr().err
 
 
 def test_missing_required_keys_all_reported():
@@ -83,9 +83,7 @@ def test_invalid_values_rejected():
         {**MINIMAL, "boundary_conditions": ["N", "X"]},
         {**MINIMAL, "tail_mode": "magic"},
         {**MINIMAL, "tail_window": [1e-2, 1e-8]},
-        {**MINIMAL, "threads": 0},
         {**MINIMAL, "grid_points": 2.5},
-        {**MINIMAL, "threads": "2"},
         {**MINIMAL, "d": True},
         {**MINIMAL, "boundary_conditions": "N"},
         {**MINIMAL, "tail_window": [0.5, 9]},
@@ -182,7 +180,6 @@ _VALID = {
     "tail_window": st.sampled_from([[1e-3, 1.0], [0.05, 2.0]]),
     "decay_samples": st.integers(1, 200),
     "decay_radius": st.none() | st.integers(2, 6),
-    "threads": st.integers(1, 4),
     "emit_graph": st.booleans(),
 }
 _MISSING = object()
@@ -336,16 +333,15 @@ def _run_and_hash(cfg_dict, out_dir):
 
 
 def test_outputs_byte_identical_across_reruns_and_threads(tmp_path):
+    """Reruns give the same bytes, and so does a CLI run in a fresh
+    interpreter with a one-thread OpenBLAS pool."""
     base = {"d": 2, "L": 10, "p": 0.3, "realizations": 4, "seed": 9,
             "task": "ids", "grid_points": 64, "grid_refine": 8}
     a = _run_and_hash(base, tmp_path / "a")
     b = _run_and_hash(base, tmp_path / "b")
-    c = _run_and_hash({**base, "threads": 4}, tmp_path / "c")
-    assert set(a) == set(b) == set(c)
-    for name in a:
-        assert a[name] == b[name], name
-        if name != "manifest.json":  # manifest records the thread count
-            assert a[name] == c[name], name
+    run_single_blas_thread(base, "ids", tmp_path / "c")
+    c = {name: (tmp_path / "c" / name).read_bytes() for name in a}
+    assert a == b == c
 
 
 def test_supercritical_ids_matches_dense_counts(tmp_path):

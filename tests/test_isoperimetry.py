@@ -13,7 +13,6 @@ from perclap import (
     LatticeBox,
     UnsupportedSizeError,
     cheeger_constant,
-    check_shape,
     clusters,
     config_from_dict,
     cubic_bound_check,
@@ -33,14 +32,19 @@ from perclap.isoperimetry import (
 )
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS
-from perclap.lattice import Cluster
-from perclap.spectral import cluster_spectra
+from perclap.lattice import make_cluster
 
-from conftest import chain_holds, reference_report
+from conftest import assert_report_columns, chain_holds, spectra_of
 
 N, DT, D = ALL_BCS
-ISOLATED = Cluster(1, np.array([0]), np.zeros((1, 1), dtype=np.int64),
-                   np.empty((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
+ISOLATED = make_cluster(1, np.array([0]), np.zeros((1, 1), dtype=np.int64),
+                        np.empty((0, 2), dtype=np.int64))
+
+
+def _stack(rows):
+    """(k, n) spectra stacks, by boundary condition, whose row i is that
+    of the spectra dict ``rows[i]``."""
+    return {bc: np.array([row[bc] for row in rows]) for bc in ALL_BCS}
 
 
 def test_path_cheeger_constant_closed_form():
@@ -63,18 +67,22 @@ def test_cheeger_size_limits():
 
 
 def test_cheeger_bound_margins_nonnegative():
+    """Every cluster of two or more vertices of a sampled box, checked in
+    one stack per vertex count, has nonnegative crude and Cheeger margins."""
     g = sample_graph(LatticeBox(2, 10), 0.4, derive_seed(81, 0))
     grid = np.linspace(0.0, 8.0, 65)
-    seen = 0
+    by_size = {}
     for c in clusters(g):
-        if c.n_vertices < 2:
-            continue
-        _, rep = check_shape(c, grid)
-        assert rep.crude_margin >= -1e-12
-        if c.n_vertices <= EXHAUSTIVE_CUTOFF:
-            assert rep.cheeger_margin >= -1e-12
-            seen += 1
-    assert seen >= 3
+        if c.n_vertices >= 2:
+            by_size.setdefault(c.n_vertices, []).append(c)
+    seen = 0
+    for n, shapes in by_size.items():
+        _, rep = check_stack(shapes, _stack([spectra_of(c) for c in shapes]), grid)
+        assert (rep.crude_margin >= -1e-12).all()
+        if n <= EXHAUSTIVE_CUTOFF:
+            assert all(m >= -1e-12 for m in rep.cheeger_margin)
+            seen += len(shapes)
+    assert seen >= 3 and max(map(len, by_size.values())) >= 2
 
 
 def test_cheeger_margin_bitwise_equals_fraction_square():
@@ -129,32 +137,43 @@ def test_cubic_bound_margins():
         assert cubic_bound_check(l, 3) >= 0.0
 
 
+def _tree(n, d=2):
+    """A path of n - 1 vertices along the first axis with one pendant
+    vertex off its second vertex: an n-vertex tree that is no path."""
+    coords = np.zeros((n, d), dtype=np.int64)
+    coords[:n - 1, 0] = np.arange(n - 1)
+    coords[n - 1, :2] = (1, 1)
+    edges = np.array([(i, i + 1) for i in range(n - 2)] + [(1, n - 1)], dtype=np.int64)
+    return make_cluster(d, LatticeBox(d, n).linear_index(coords), coords, edges)
+
+
 def test_report_cluster_fields():
-    """check_shape's report of one cluster, field by field as the oracle
-    computes it, with no Cheeger fields above the cutoff."""
+    """check_stack's report of a stack of distinct shapes, column by
+    column as the oracle computes it shape by shape, with no Cheeger
+    fields above the cutoff."""
     grid = np.linspace(0.0, 8.0, 65)
-    c = make_linear_cluster(6, 2)
-    _, rep = check_shape(c, grid)
-    assert rep == reference_report(c, cluster_spectra(c))
+    shapes = [make_linear_cluster(6, 2), _tree(6), make_linear_cluster(6, 2)]
+    spectra = _stack([spectra_of(c) for c in shapes])
+    _, rep = check_stack(shapes, spectra, grid)
+    assert_report_columns(rep, shapes, spectra)
     assert rep.n_vertices == 6
-    assert rep.h_cheeger == Fraction(1, 3)
-    assert rep.cheeger_margin >= 0
-    assert rep.crude_margin >= 0
-    assert rep.fk_ratio > 0
-    big = make_linear_cluster(EXHAUSTIVE_CUTOFF + 5, 2)
-    _, rep_big = check_shape(big, grid)
-    assert rep_big == reference_report(big, cluster_spectra(big))
-    assert rep_big.h_cheeger is None and rep_big.cheeger_margin is None
+    assert rep.h_cheeger[0] == rep.h_cheeger[2] == Fraction(1, 3)
+    assert all(m >= 0 for m in rep.cheeger_margin)
+    assert (rep.crude_margin >= 0).all() and (rep.fk_ratio > 0).all()
+    assert rep.e1_neumann[0] != rep.e1_neumann[1]
+    big = [make_linear_cluster(EXHAUSTIVE_CUTOFF + 5, 2), _tree(EXHAUSTIVE_CUTOFF + 5)]
+    spectra = _stack([spectra_of(c) for c in big])
+    _, rep_big = check_stack(big, spectra, grid)
+    assert_report_columns(rep_big, big, spectra)
+    assert rep_big.h_cheeger == rep_big.cheeger_margin == [None, None]
 
 
-def test_check_shape_counts_each_violation_kind():
-    """All zeros on true spectra; each crafted spectrum trips only its own check."""
+def test_check_stack_counts_each_violation_kind():
+    """Clean rows count nothing; each crafted row of the same stack trips
+    only its own check, and no verdict reaches the clean rows between."""
     c = make_linear_cluster(4, 1)  # h = 1/2, so h^2/(4d) = 1/(d n^2) = 1/16
     grid = np.linspace(0.0, 4.0, 65)
-    true = cluster_spectra(c, {})
-    zeros = dict.fromkeys(VIOLATION_KINDS, 0)
-    counts, rep = check_shape(c, grid, true)
-    assert counts == zeros and rep == reference_report(c, true)
+    true = spectra_of(c)
     e_n, e_dt, e_d = (true[bc] for bc in ALL_BCS)
     gap = 0.01
     cases = [
@@ -169,22 +188,34 @@ def test_check_shape_counts_each_violation_kind():
         ({N: np.array([e_n[0], gap, e_n[2], e_n[3]]),
           D: np.array([e_d[0], e_d[1], 4.0 - gap, e_d[3]])}, {"cheeger": 1, "crude": 1}),
     ]
-    for changes, fired in cases:
-        counts, _ = check_shape(c, grid, {**true, **changes})
-        assert counts == {**zeros, **fired}, fired
-    assert check_shape(ISOLATED, grid) == (zeros, None)
+    rows, fired = [true], [{}]
+    for changes, kinds in cases:
+        rows += [{**true, **changes}, true]
+        fired += [kinds, {}]
+    counts, rep = check_stack([c] * len(rows), _stack(rows), grid)
+    for kind in VIOLATION_KINDS:
+        assert counts[kind].tolist() == [f.get(kind, 0) for f in fired], kind
+    assert_report_columns(rep, [c] * len(rows), _stack(rows))
+    # single vertices: a range row, with its reflection kept, between clean rows
+    iso = {bc: np.array([float(bc.isolated_value(1))]) for bc in ALL_BCS}
+    rows = [iso, {**iso, N: np.array([-1e-6]), D: np.array([4.0 + 1e-6])}, iso]
+    counts, rep = check_stack([ISOLATED] * 3, _stack(rows), grid)
+    assert rep is None
+    for kind in VIOLATION_KINDS:
+        assert counts[kind].tolist() == ([0, 2, 0] if kind == "range" else [0, 0, 0]), kind
 
 
-def test_check_shape_reflection_size_cap():
+def test_check_stack_reflection_size_cap():
+    """An off Dirichlet row between clean ones is a reflection violation
+    up to the size cap and nothing above it."""
     grid = np.linspace(0.0, 4.0, 65)
     for n in (REFLECTION_MAX_VERTICES, REFLECTION_MAX_VERTICES + 1):
         c = make_linear_cluster(n, 1)
-        spectra = cluster_spectra(c, {})
-        off = spectra[D].copy()
-        off[0] += 1e-6
-        counts, _ = check_shape(c, grid, {**spectra, D: off})
-        assert counts["reflection"] == int(n <= REFLECTION_MAX_VERTICES)
-        assert sum(counts.values()) == counts["reflection"]
+        spectra = _stack([spectra_of(c)] * 3)
+        spectra[D][1, 0] += 1e-6
+        counts, _ = check_stack([c] * 3, spectra, grid)
+        assert counts["reflection"].tolist() == [0, int(n <= REFLECTION_MAX_VERTICES), 0]
+        assert sum(counts.values()).tolist() == counts["reflection"].tolist()
 
 
 @st.composite

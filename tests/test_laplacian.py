@@ -2,12 +2,11 @@
 
 import numpy as np
 
-from conftest import chain_holds, reference_laplacian, reflection_deviation
+from conftest import chain_holds, reference_laplacian, reflection_deviation, spectra_of
 from perclap import LatticeBox, clusters, make_cubic_cluster, make_linear_cluster, sample_graph
 from perclap.isoperimetry import REFLECTION_TOL
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, assemble
-from perclap.spectral import cluster_spectra
 
 N, DT, D = ALL_BCS
 
@@ -89,7 +88,7 @@ def test_reflection_check_on_sampled_clusters(small_ensemble):
         for c in clusters(g):
             if not 2 <= c.n_vertices <= 200:
                 continue
-            dev = reflection_deviation(cluster_spectra(c, {}), c.d)
+            dev = reflection_deviation(spectra_of(c), c.d)
             assert dev <= REFLECTION_TOL, f"reflection deviation {dev}"
 
 
@@ -102,7 +101,7 @@ def test_neumann_zero_mode_is_constant_vector():
 
 def test_chain_holds_on_cube():
     c = make_cubic_cluster(3, 2)
-    assert chain_holds(cluster_spectra(c, {}), np.linspace(0, 8, 65))
+    assert chain_holds(spectra_of(c), np.linspace(0, 8, 65))
 
 
 def test_operators_symmetric_integer(small_ensemble):

@@ -19,7 +19,7 @@ from perclap import (
 )
 from perclap import kernels
 from perclap.kernels import derive_seed
-from perclap.lattice import Cluster, ShapeEnsemble, graph_to_json_dict
+from perclap.lattice import Cluster, ShapeEnsemble, graph_to_json_dict, make_cluster
 
 
 def test_box_counts():
@@ -136,9 +136,7 @@ def test_canonical_key_translation_invariant():
     # translates of a fixed shape: build two shifted copies explicitly
     a = make_linear_cluster(4, 2)
     b_coords = a.coords + np.array([3, 2])
-    from perclap.lattice import _cluster_from_coords
-
-    b = _cluster_from_coords(2, b_coords, a.edges)
+    b = make_cluster(2, LatticeBox(2, 8).linear_index(b_coords), b_coords, a.edges)
     assert a.canonical_key() == b.canonical_key()
 
 

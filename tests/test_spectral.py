@@ -22,7 +22,6 @@ from perclap import (
     make_cubic_cluster,
     make_linear_cluster,
     sample_graph,
-    zero_mode_density,
 )
 from perclap import config_from_dict, isoperimetry, kernels, lattice, run, runner, spectral
 from perclap.cli import main
@@ -38,11 +37,10 @@ from perclap.lattice import ShapeEnsemble
 from perclap.spectral import (
     DENSE_THRESHOLD,
     cluster_eigenvalues,
-    cluster_spectra,
     giant_grid_counts,
+    lowest_nonzero,
     mirror_partners,
     shape_spectra,
-    summarize,
     zero_tolerance,
 )
 
@@ -52,6 +50,7 @@ from conftest import (
     reference_laplacian,
     reference_report,
     reflection_deviation,
+    spectra_of,
 )
 
 N, DT, D = ALL_BCS
@@ -633,21 +632,28 @@ def test_d2_giant_run_factors_24_times_and_logs_each_bc(tmp_path, monkeypatch, c
 
 
 def test_zero_mode_density_equals_cluster_density(small_ensemble):
+    """The Neumann IDS at the zero tolerance counts one zero mode per
+    cluster, from a realization or its ShapeEnsemble alike."""
     # a supercritical box: one of its 93 clusters is above the dense threshold
     giant = sample_graph(LatticeBox(2, 48), 0.6, derive_seed(1, 0))
     assert max(c.n_vertices for c in clusters(giant)) > DENSE_THRESHOLD
     for g in list(small_ensemble) + [giant]:
-        rho = zero_mode_density([g])
+        tol = zero_tolerance(g.box.d)
+        # a giant shape's zero mode is in the grid counts, not in the pooled values
+        rho = float(empirical_ids([g], N, grid=[tol]).evaluate(tol))
         n_clusters = len(clusters(g))
         assert rho == pytest.approx(n_clusters / g.box.n_vertices, abs=1e-15)
-        assert zero_mode_density(ShapeEnsemble([g])) == rho
+        assert float(empirical_ids(ShapeEnsemble([g]), N, grid=[tol]).evaluate(tol)) == rho
 
 
-def test_summarize_gap_selection():
-    s = summarize(make_linear_cluster(3, 1), N)
-    assert s.lowest_nonzero == pytest.approx(1.0, abs=1e-12)
-    s2 = summarize(make_linear_cluster(3, 1), DT)
-    assert s2.lowest_nonzero == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
+def test_lowest_nonzero_gap_selection():
+    """The Neumann gap skips the zero mode, the others are the lowest
+    eigenvalue, and a single Neumann eigenvalue has no gap."""
+    path = make_linear_cluster(3, 1)
+    assert lowest_nonzero(cluster_eigenvalues(path, N), N) == pytest.approx(1.0, abs=1e-12)
+    assert lowest_nonzero(cluster_eigenvalues(path, DT), DT) == pytest.approx(
+        2.0 - math.sqrt(2.0), abs=1e-12)
+    assert math.isnan(lowest_nonzero(np.zeros(1), N))
 
 
 def test_spectrum_cache_shared_across_translates():
@@ -895,7 +901,7 @@ def _per_cluster_verify(cfg):
     for i in range(cfg.realizations):
         g = sample_graph(LatticeBox(cfg.d, cfg.L), cfg.p, derive_seed(cfg.seed, i))
         for c in clusters(g):
-            spectra = cluster_spectra(c, {})
+            spectra = spectra_of(c)
             checked += 1
             violations["range"] += range_violations(spectra, cfg.d, tol)
             if (c.n_vertices <= REFLECTION_MAX_VERTICES
@@ -905,17 +911,12 @@ def _per_cluster_verify(cfg):
             if c.n_vertices < 2:
                 continue
             rep = reference_report(c, spectra)
-            violations["crude"] += rep.crude_margin < -MARGIN_TOL
-            violations["cheeger"] += (rep.cheeger_margin is not None
-                                      and rep.cheeger_margin < -MARGIN_TOL)
-            fk_min = rep.fk_ratio if fk_min is None else min(fk_min, rep.fk_ratio)
-            h = "" if rep.h_cheeger is None else _fmt(rep.h_cheeger)
-            margin = "" if rep.cheeger_margin is None else _fmt(rep.cheeger_margin)
-            rows.append(
-                f"{rep.n_vertices},{_fmt(rep.e1_neumann)},{_fmt(rep.e1_pseudo_dirichlet)},"
-                f"{_fmt(rep.e1_dirichlet)},{h},{margin},{_fmt(rep.crude_margin)},"
-                f"{_fmt(rep.fk_ratio)}"
-            )
+            violations["crude"] += rep["crude_margin"] < -MARGIN_TOL
+            violations["cheeger"] += (rep["cheeger_margin"] is not None
+                                      and rep["cheeger_margin"] < -MARGIN_TOL)
+            fk_min = rep["fk_ratio"] if fk_min is None else min(fk_min, rep["fk_ratio"])
+            rows.append(",".join("" if x is None else str(x) if name == "n_vertices"
+                                 else _fmt(x) for name, x in rep.items()))
     summary = {"clusters_checked": checked, "violations": violations, "fk_estimate": fk_min}
     return ("\n".join(rows) + "\n").encode(), (
         json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()

@@ -65,9 +65,18 @@ MUTANTS = (
         "chain-rule-strict", "isoperimetry.py",
         "(pos_n <= pos_dt).all(axis=1)",
         "(pos_n < pos_dt).all(axis=1)",
-        "positional_chain_rule or check_shape_counts",
+        "positional_chain_rule or check_stack_counts",
         "equal positions mean no grid energy in [lambda_Dt, lambda_N): the "
         "chain holds there",
+    ),
+    Mutant(
+        "range-verdict-per-stack", "isoperimetry.py",
+        "sum((e[:, 0] < -tol) | (e[:, -1] > width + tol) for e in (e_n, e_dt, e_d))",
+        "sum(np.full(k, ((e[:, 0] < -tol) | (e[:, -1] > width + tol)).any())\n"
+        "                          for e in (e_n, e_dt, e_d))",
+        "check_stack_counts",
+        "each row of a stack is its own shape: one shape out of range must "
+        "not mark the others",
     ),
     Mutant(
         "counts-all-without-snap", "spectral.py",
@@ -127,11 +136,11 @@ MUTANTS = (
         "the first clusters of the other shapes",
     ),
     Mutant(
-        "isolated-degree-int32", "lattice.py",
-        "    degrees = np.zeros(1, dtype=np.int64)\n",
-        "    degrees = np.zeros(1, dtype=np.int32)\n",
+        "cluster-degree-int32", "lattice.py",
+        "minlength=vertices.size).astype(np.int64, copy=False)",
+        "minlength=vertices.size).astype(np.int32)",
         "shape_ensemble_property",
-        "every Cluster holds int64 arrays, the isolated representative too",
+        "every Cluster holds int64 arrays, the shape representatives' degrees too",
     ),
     Mutant(
         "join-by-concatenate", "lattice.py",
