@@ -165,110 +165,124 @@ def make_cluster(d, vertices, coords, edges) -> Cluster:
 class ClusterSequence(Sequence):
     """The clusters of one realization, ordered by smallest vertex.
 
-    A read-only sequence over the arrays of the one-pass grouping:
-    ``order`` holds the vertices by component (ascending within one) and
-    ``edges`` the open edges in local indices, grouped by component.
-    Cluster i is ``order[vbounds[i]:vbounds[i + 1]]`` with the edges
-    ``edges[ebounds[i]:ebounds[i + 1]]``.  A :class:`Cluster` of slices
-    is built only when one is indexed or iterated, its coordinates from
-    the box and its degrees from its own edges; a slice of the sequence
-    gives a list of them.
+    A read-only sequence over the arrays of :func:`clusters`.  ``multi``
+    marks the keyed clusters (two or more vertices) among all; the
+    others are the vertices ``order`` leaves out, kept implicit.
+    ``order`` holds the keyed vertices by cluster, ascending within one,
+    and ``edges`` their open edges in local indices, int32 as the bounds:
+    keyed cluster k is ``order[vbounds[k]:vbounds[k + 1]]`` with the
+    edges ``edges[ebounds[k]:ebounds[k + 1]]``.  A :class:`Cluster` of
+    int64 copies is built only when indexed or iterated; a slice gives a list.
     """
 
-    __slots__ = ("box", "d", "order", "edges", "vbounds", "ebounds")
+    __slots__ = ("box", "d", "order", "edges", "vbounds", "ebounds", "multi")
 
-    def __init__(self, box, order, edges, vbounds, ebounds):
-        _readonly(order, edges, vbounds, ebounds)
-        self.box = box
-        self.d = box.d
-        self.order = order
-        self.edges = edges
-        self.vbounds = vbounds
-        self.ebounds = ebounds
+    def __init__(self, box, order, edges, vbounds, ebounds, multi):
+        _readonly(order, edges, vbounds, ebounds, multi)
+        self.box, self.d, self.multi = box, box.d, multi
+        self.order, self.edges, self.vbounds, self.ebounds = order, edges, vbounds, ebounds
 
     def __len__(self):
-        return self.vbounds.size - 1
+        return self.multi.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        n = len(self)
+            return list(self._build(range(*index.indices(len(self)))))
+        i, n = operator.index(index), len(self)
         if not -n <= i < n:
             raise IndexError(f"cluster index {i} out of range for {n} clusters")
-        i %= n
-        s, t = self.vbounds[i:i + 2].tolist()
-        es, et = self.ebounds[i:i + 2].tolist()
-        return self._cluster(s, t, es, et)
+        return next(self._build([i % n]))
 
     def __iter__(self):
-        # memoryviews yield Python ints without materializing bound lists
-        vb, eb = memoryview(self.vbounds), memoryview(self.ebounds)
-        for s, t, es, et in zip(vb, vb[1:], eb, eb[1:]):
-            yield self._cluster(s, t, es, et)
+        return self._build(range(len(self)))
 
-    def _cluster(self, s, t, es, et):
-        vertices = self.order[s:t]
-        # every edge of a component has both ends in it
-        return make_cluster(self.d, vertices, self.box.coords(vertices), self.edges[es:et])
+    def _build(self, picked):
+        """The clusters at the indices ``picked``, in that order.  Up to
+        cluster i come ``keyed[i]`` keyed clusters, so an isolated one is
+        the vertex ``i - keyed[i]`` of those ``order`` leaves out."""
+        untouched = np.ones(self.box.n_vertices, dtype=bool)
+        untouched[self.order] = False
+        isolated = np.flatnonzero(untouched)
+        keyed = np.cumsum(self.multi)
+        vb, eb = self.vbounds, self.ebounds
+        for i in picked:
+            k = int(keyed[i])
+            if self.multi[i]:
+                vertices = self.order[vb[k - 1]:vb[k]].astype(np.int64)
+                # every edge of a cluster has both ends in it
+                edges = self.edges[eb[k - 1]:eb[k]].astype(np.int64)
+            else:
+                vertices = isolated[i - k:i - k + 1].copy()
+                edges = np.empty((0, 2), dtype=np.int64)
+            yield make_cluster(self.d, vertices, self.box.coords(vertices), edges)
 
 
 def clusters(graph: PercolationGraph) -> ClusterSequence:
     """Decompose a realization into clusters, ordered by smallest vertex.
 
-    The whole realization is grouped in one sorted pass: vertices by
-    component root (ascending within a component) and the edges, in
-    local indices, stably by root.  The result is a
-    :class:`ClusterSequence` over these read-only arrays, so no cluster
-    can write into another and none is built until it is accessed.
+    Only the vertices an open edge touches are grouped, stably by
+    component root, and the edges stably by root, each end's local index
+    read from an int32 array of positions in that order.  A vertex starts
+    a cluster when it is untouched or the first of a keyed one, which
+    orders all clusters by smallest vertex.  The :class:`ClusterSequence`
+    over these read-only arrays builds no cluster until one is accessed.
     """
     box = graph.box
     nv = box.n_vertices
     eu, ev = graph.open_eu, graph.open_ev
     roots = kernels.component_roots(nv, eu, ev)
-
-    order = np.argsort(roots, kind="stable")
-    sorted_roots = roots[order]
-    starts = np.flatnonzero(np.diff(sorted_roots, prepend=-1))
-    sizes = np.diff(starts, append=nv)
-    local = np.empty(nv, dtype=np.int64)
-    local[order] = np.arange(nv, dtype=np.int64) - np.repeat(starts, sizes)
-
+    touched = np.zeros(nv, dtype=bool)
+    touched[eu] = True
+    touched[ev] = True
+    keyed = np.flatnonzero(touched)
+    kroots = roots[keyed]
+    korder = np.argsort(kroots, kind="stable")
+    order = keyed.astype(np.int32)[korder]
+    vbounds = _group_bounds(kroots[korder])
+    position = np.empty(nv, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
     eroots = roots[eu]
     eorder = np.argsort(eroots, kind="stable")
-    edges = np.empty((eu.size, 2), dtype=np.int64)
-    edges[:, 0] = local[eu[eorder]]
-    edges[:, 1] = local[ev[eorder]]
-    edge_counts = np.bincount(eroots, minlength=nv)[sorted_roots[starts]]
+    eroots = eroots[eorder]
+    first = position[eroots]  # a root is the first vertex of its cluster
+    edges = np.empty((eu.size, 2), dtype=np.int32)
+    edges[:, 0] = position[eu[eorder]] - first
+    edges[:, 1] = position[ev[eorder]] - first
 
-    vbounds = np.append(starts, nv)
-    ebounds = np.concatenate(([0], np.cumsum(edge_counts)))
-    return ClusterSequence(box, order, edges, vbounds, ebounds)
+    starts = ~touched
+    starts[order[vbounds[:-1]]] = True
+    multi = touched[np.flatnonzero(starts)]
+    return ClusterSequence(box, order, edges, vbounds, _group_bounds(eroots), multi)
+
+
+def _group_bounds(keys):
+    """Bounds of the runs of equal values of the sorted array keys, as int32."""
+    change = np.ones(keys.size + 1, dtype=bool)
+    change[1:-1] = keys[1:] != keys[:-1]
+    return np.flatnonzero(change).astype(np.int32)
 
 
 class ShapeEnsemble:
     """The clusters of realizations as a table of distinct shapes.
 
-    ``graphs`` is any iterable of realizations of one dimension; it is
-    read once, so a generator streams them and only one realization is
-    held at a time.  ``shapes`` holds one representative per
-    ``canonical_key()`` in first-seen order, ``counts`` its multiplicity
-    and ``order`` the shape id of every cluster in realization and
-    cluster order.  Each realization is decomposed once by
-    :func:`clusters`; only its compact int32 key material is kept, and no
-    per-cluster :class:`Cluster` is built.
+    ``graphs`` is any iterable of realizations of one dimension, read
+    once, so a generator streams them and only one is held at a time.
+    ``shapes`` holds one representative per ``canonical_key()`` in
+    first-seen order, ``counts`` its multiplicity and ``order`` the shape
+    id of every cluster in realization and cluster order.  Each
+    realization is decomposed once by :func:`clusters`, and only the
+    int32 arrays of its keyed clusters are kept; no per-cluster
+    :class:`Cluster` is built.
 
     Isolated vertices are all one shape, so they never enter the key
-    table: they are marked in a mask over all clusters, and their shape
-    takes its id from the first of them.  The keys of the clusters of
-    two or more vertices are compared in bulk over the whole ensemble,
-    on the values that ``canonical_key()`` hashes: clusters are grouped
-    by vertex and edge count, and in each group equal int32 rows of
-    coordinates minus their per-axis minimum and local edges are found
-    by a stable lexsort.  Each distinct key, in first-seen order, gets a
-    read-only representative rebuilt from its first cluster's key
-    material, with int64 arrays as every :class:`Cluster` has; the
-    isolated shape's is built from its first vertex.
+    table: the ``multi`` masks place them, and their shape takes its id
+    and representative from the first of them.  The keys of the other
+    clusters are compared in bulk over the whole ensemble, on the values
+    ``canonical_key()`` hashes: grouped by vertex and edge count, equal
+    int32 rows of coordinates minus their per-axis minimum and local
+    edges are found by a stable lexsort.  Each distinct key, in
+    first-seen order, gets a read-only int64 representative rebuilt from
+    its first cluster's key material.
     """
 
     def __init__(self, graphs):
@@ -280,9 +294,10 @@ class ShapeEnsemble:
             elif g.box.d != self.d:
                 raise DomainError("all graphs must share the lattice dimension")
             self.total_vertices += g.box.n_vertices
-            v = _key_columns(columns, g.box, clusters(g))
-            if isolated is None and v is not None:
-                isolated = _isolated_vertex(g.box, v)
+            seq = clusters(g)
+            _key_columns(columns, g.box, seq)
+            if isolated is None and not seq.multi.all():
+                isolated = seq[int(np.argmin(seq.multi))]
         if self.d is None:
             raise DomainError("an ensemble needs at least one graph")
         keys = _KeyMaterial(self.d, columns)
@@ -304,31 +319,16 @@ class ShapeEnsemble:
 
 
 def _key_columns(columns, box, seq):
-    """Append the key columns of one realization to ``columns`` and return
-    its first isolated vertex, or None if no cluster is isolated.
-
-    The columns are the box side, vertex and edge counts, flat vertices
-    and local edges of the clusters of two or more vertices, and the
-    mask of those clusters among all.  Box side, vertices and edges are
-    int32, as a box holds at most ``config.MAX_VERTICES`` = 2**31 - 1
-    vertices.
-    """
+    """Append the key columns of one realization to ``columns``: the box
+    side, vertex and edge counts, flat vertices and local edges of its
+    keyed clusters, and their mask ``multi``, read from ``seq`` with no
+    copy.  All but the mask are int32, as a box holds at most
+    ``config.MAX_VERTICES`` = 2**31 - 1 vertices."""
     sizes = np.diff(seq.vbounds)
-    multi = sizes > 1
-    kept = sizes[multi]
-    # an isolated vertex has no edge, so every edge is a kept cluster's
-    part = (np.full(kept.size, box.L, dtype=np.int32), kept, np.diff(seq.ebounds)[multi],
-            seq.order[np.repeat(multi, sizes)].astype(np.int32),
-            seq.edges.ravel().astype(np.int32), multi)
+    part = (np.full(sizes.size, box.L, dtype=np.int32), sizes, np.diff(seq.ebounds),
+            seq.order, seq.edges.ravel(), seq.multi)
     for column, a in zip(columns, part):
         column.append(a)
-    return None if multi.all() else int(seq.order[seq.vbounds[np.argmin(multi)]])
-
-
-def _isolated_vertex(box, v):
-    """A read-only Cluster of the single vertex v of box."""
-    vertices = np.array([v], dtype=np.int64)
-    return make_cluster(box.d, vertices, box.coords(vertices), np.empty((0, 2), dtype=np.int64))
 
 
 def _join(parts):

@@ -17,7 +17,7 @@ from perclap import (
     make_linear_cluster,
     sample_graph,
 )
-from perclap import kernels
+from perclap import kernels, lattice
 from perclap.kernels import derive_seed
 from perclap.lattice import Cluster, ShapeEnsemble, graph_to_json_dict, make_cluster
 
@@ -232,9 +232,14 @@ def _reference_clusters(graph):
 
 
 # (d, L, p): a long d=1 chain, sub- and supercritical d=2 boxes, d=3 boxes
-# of even and odd side, and the degenerate sides and probabilities
+# of even and odd side, and the degenerate sides and probabilities.  At
+# p = 1 no vertex is isolated, and the highest vertex of the box is the
+# upper end of all its open edges, never a lower one; at p = 0 every
+# vertex is isolated.
 ORACLE_CASES = [
     (1, 100_000, 0.3),
+    (1, 50, 1.0),
+    (1, 50, 0.0),
     (2, 24, 0.3),
     (2, 64, 0.6),
     (3, 12, 0.3),
@@ -291,7 +296,7 @@ def test_cluster_sequence_indexing_matches_reference(oracle_graph):
             seq[i]
     with pytest.raises(TypeError):
         seq[1.0]
-    for name in ("order", "edges", "vbounds", "ebounds"):
+    for name in ("order", "edges", "vbounds", "ebounds", "multi"):
         a = getattr(seq, name)
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):
@@ -309,6 +314,30 @@ def test_cluster_arrays_are_read_only(oracle_graph):
     for c in ShapeEnsemble([oracle_graph]).shapes:
         for name in ("vertices", "coords", "edges", "degrees"):
             assert not getattr(c, name).flags.writeable, name
+
+
+def test_shape_ensemble_decomposes_through_the_clusters_binding(monkeypatch):
+    """The benchmark tracer counts clusters by wrapping the module binding
+    ``lattice.clusters``, so the shape table must decompose each
+    realization by exactly one call there, whose length is that
+    realization's cluster count, isolated vertices included."""
+    graphs = [sample_graph(LatticeBox(2, L), p, derive_seed(45, i))
+              for i, (L, p) in enumerate(((12, 0.5), (5, 1.0), (4, 0.0), (1, 0.5), (9, 0.3)))]
+    calls = []
+    decompose = lattice.clusters
+
+    def counting(graph):
+        seq = decompose(graph)
+        calls.append((graph, len(seq)))
+        return seq
+
+    monkeypatch.setattr(lattice, "clusters", counting)
+    ensemble = ShapeEnsemble(iter(graphs))
+    assert len(calls) == len(graphs)
+    for g, (called, n) in zip(graphs, calls):
+        assert called is g
+        assert n == np.unique(dfs_components(g.box.n_vertices, g.open_eu, g.open_ev)).size
+    assert ensemble.n_clusters == sum(n for _, n in calls)
 
 
 def _first_seen_ids(keys):
@@ -387,6 +416,10 @@ def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
 @example(2, [(3, 1.0, 1), (3, 0.0, 2)])
 @example(2, [(12, 0.8, 3), (5, 0.3, 1)])
 @example(2, [(4, 0.0, 1), (3, 0.0, 2)])
+@example(1, [(9, 1.0, 1), (6, 0.5, 2)])
+@example(1, [(9, 0.0, 1), (1, 0.5, 2), (9, 1.0, 3)])
+@example(1, [(1, 0.5, 1)])
+@example(3, [(3, 1.0, 1), (4, 0.4, 2), (1, 0.5, 3)])
 def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realizations):
     """Mixed box sides in one ensemble, p from 0 to 1: groups of one
     member, isolated vertices, and one shape in boxes of different sides
@@ -397,7 +430,9 @@ def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realiz
     The isolated shape is keyed apart from the others, so its slot is
     checked where it is first seen in a later realization (p = 1, then
     p = 0), after a giant cluster 0 (p = 0.8, as in the d2_giant
-    workload), and as the only shape (p = 0 alone)."""
+    workload), and as the only shape (p = 0 alone, or a box of one
+    vertex).  At p = 1 the box's highest vertex is reached only as the
+    upper end of its edges."""
     graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
     ensemble = ShapeEnsemble(graphs)
     cs = [c for g in graphs for c in _reference_clusters(g)]
@@ -461,9 +496,11 @@ def test_shape_ensemble_traced_peak_on_long_paths():
     70% of them isolated vertices, which get no key columns.  Keying
     every cluster peaked at 33.3 MB of traced allocations, keying only
     the clusters of two or more vertices at 17.9 MB, and with int32 key
-    columns and rows compared in place it peaks at 11.8 MB.  The bound
-    leaves 1.7 MB of margin; joining the key columns with np.concatenate,
-    which holds every part beside the joined copy, peaks at 15.5 MB."""
+    columns and rows compared in place it peaks at 11.8 MB, and with
+    int32 vertex and edge counts at 11.1 MB.  The bound leaves 1.4 MB of
+    margin; joining the key columns with np.concatenate, which holds
+    every part beside the joined copy, peaks at 13.7 MB (15.5 MB with
+    int64 counts)."""
     graphs = [sample_graph(LatticeBox(1, 100_000), 0.3, derive_seed(7, i)) for i in range(4)]
     tracemalloc.start()
     try:
@@ -472,4 +509,4 @@ def test_shape_ensemble_traced_peak_on_long_paths():
     finally:
         tracemalloc.stop()
     assert ensemble.n_clusters == 280_061 and len(ensemble.shapes) == 10
-    assert peak <= 13.5e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak <= 12.5e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -503,6 +503,29 @@ def test_integer_energy_is_never_mirrored(giant_clusters):
     assert cache[("giant", c.canonical_key())].mirrored == set()
 
 
+def test_integer_partner_is_never_mirrored():
+    """A clean factorization at a non-integer E within the snap above an
+    integer eigenvalue k does not count its integer partner 4d - k: the
+    eigenvalues > E leave out k, whose mirror 4d - k the partner's count
+    holds.  The Neumann spectrum of a 4-vertex path in d=2 is 2 - 2 cos(pi
+    j / 4), so 2 is an eigenvalue, and the factorization at 2 + snap / 2
+    is clean (no pivot near 0), so nothing but the integer test stops
+    its mirror count.  The counting does not depend on the shape's size,
+    so a small one stands in for a giant."""
+    c = make_linear_cluster(4, 2)
+    snap = 1e-12 * 8
+    grid = np.array([2.0 + snap / 2, 6.0])
+    assert grid[0] != 2.0 and mirror_partners(grid, 2).tolist() == [1, 0]
+    assert count_leq(assemble(c, N), float(grid[0]), report_clean=True) == (3, True)
+    cache = {}
+    counts = {bc: giant_grid_counts(c, bc, grid, cache).tolist() for bc in (N, D)}
+    for bc in (N, D):
+        dense = np.linalg.eigvalsh(reference_laplacian(c, bc.value).astype(np.float64))
+        assert counts[bc] == np.searchsorted(dense, grid + snap, side="right").tolist(), bc
+    assert counts[D] == [0, 2]
+    assert cache[("giant", c.canonical_key())].mirrored == set()
+
+
 # (d, L, p, seed, grid points) of the threshold sweep: subcritical to
 # supercritical in each d.  The last case puts E = 5 on the grid, where a
 # 54-vertex shape has one pseudo-Dirichlet eigenvalue; the unpivoted

@@ -128,6 +128,32 @@ MUTANTS = (
         "entries",
     ),
     Mutant(
+        "mirror-integer-partner", "spectral.py",
+        "if (not _refused(g) and mkey not in shape.counts",
+        "if (mkey not in shape.counts",
+        "integer_partner_is_never_mirrored",
+        "a clean factorization within the snap above an integer eigenvalue k "
+        "leaves k out of the eigenvalues > E, but the integer partner 4d - k "
+        "counts its mirror",
+    ),
+    Mutant(
+        "clusters-skip-upper-ends", "lattice.py",
+        "    touched[ev] = True\n",
+        "",
+        "clusters_match_reference_decomposition",
+        "a vertex reached only as the upper end of its open edges (the "
+        "highest vertex of a box always is) belongs to a cluster, not to "
+        "the isolated vertices",
+    ),
+    Mutant(
+        "clusters-unstable-vertex-sort", "lattice.py",
+        'korder = np.argsort(kroots, kind="stable")',
+        "korder = np.argsort(kroots)",
+        "clusters_match_reference_decomposition",
+        "a cluster's vertices are ascending, and an unstable sort by root "
+        "scrambles them for d >= 2, where a cluster is not one run of indices",
+    ),
+    Mutant(
         "isolated-slot-first", "lattice.py",
         "iso = int(np.searchsorted(keyed[firsts], np.argmin(keys.multi)))",
         "iso = 0",
@@ -147,8 +173,8 @@ MUTANTS = (
         "_join(column) for column in columns)",
         "np.concatenate(column) for column in columns)",
         "traced_peak_on_long_paths",
-        "np.concatenate holds every part beside the joined copy: 15.5 MB "
-        "traced on d1_paths' graphs against the 13.5 MB bound",
+        "np.concatenate holds every part beside the joined copy: 13.7 MB "
+        "traced on d1_paths' graphs against the 12.5 MB bound",
     ),
     Mutant(
         "verify-fresh-cache", "runner.py",
