@@ -35,6 +35,6 @@ from .spectral import (
     eigenvalues,
     empirical_ids,
 )
-from .tails import analytic_tail_fit, cluster_size_decay, fit_tail, ids_1d_series
+from .tails import analytic_tail_fit, cluster_size_decay, fit_tail
 
 __version__ = "0.1.0"

@@ -23,6 +23,10 @@ MAX_SEED = 2**64 - 1
 # as MemoryError (exit 3)
 MAX_ARRAY_ITEMS = 2**59 - 1
 SIZE_FIELDS = ("grid_points", "grid_refine", "decay_samples")
+# the default energy grid: uniform points on [0, 4d], plus the refine
+# geometric steps toward each band edge
+GRID_POINTS = 512
+GRID_REFINE = 40
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,8 @@ class ExperimentConfig:
     realizations: int = 1
     seed: int = 0
     boundary_conditions: tuple = BC_NAMES
-    grid_points: int = 512
-    grid_refine: int = 40
+    grid_points: int = GRID_POINTS
+    grid_refine: int = GRID_REFINE
     tail_mode: str = "analytic"
     tail_window: tuple = (1e-8, 1e-3)
     decay_samples: int = 100000

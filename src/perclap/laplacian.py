@@ -32,13 +32,24 @@ class BoundaryCondition(enum.Enum):
     PSEUDO_DIRICHLET = "Dt"
     DIRICHLET = "D"
 
-    def isolated_value(self, d: int) -> int:
-        """Action on an isolated vertex: 0, 2d or 4d."""
-        if self is BoundaryCondition.NEUMANN:
-            return 0
+    @property
+    def mirror(self) -> "BoundaryCondition":
+        """The condition whose spectrum on a lattice cluster is 4d minus
+        this one's: N and D mirror each other, Dt mirrors itself.
+
+        A lattice cluster is bipartite, so with S = diag((-1)^|x|),
+        S A S = -A.  Then S (deg - A) S = deg + A, so
+        Delta_D = 4d I - deg - A = 4d I - S Delta_N S, and likewise
+        Delta_Dt = 2d I - A = 4d I - S Delta_Dt S.  S is orthogonal and
+        its own inverse, so spec(Delta_D) = 4d - spec(Delta_N) and
+        spec(Delta_Dt) = 4d - spec(Delta_Dt): the upper band edge of a
+        condition is the lower edge of its mirror.
+        """
         if self is BoundaryCondition.PSEUDO_DIRICHLET:
-            return 2 * d
-        return 4 * d
+            return self
+        if self is BoundaryCondition.NEUMANN:
+            return BoundaryCondition.DIRICHLET
+        return BoundaryCondition.NEUMANN
 
     def diagonal(self, degrees: np.ndarray, d: int) -> np.ndarray:
         if self is BoundaryCondition.NEUMANN:

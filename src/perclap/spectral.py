@@ -17,10 +17,11 @@ energy where that factorization breaks down twice does it read the
 count off the shape's dense spectrum, computed once per operator.
 
 :func:`giant_grid_counts` makes those counts for one such shape and
-keeps them in the run's cache.  Lattice clusters are bipartite, so D
-has the spectrum of 4d - N and Dt that of 4d - Dt (:data:`MIRROR`):
-one clean factorization at E counts its own condition at E and the
-mirror condition at the grid energy paired with 4d - E
+keeps them in the run's cache.  Lattice clusters are bipartite, so
+each condition has the spectrum of 4d minus that of its mirror
+(:attr:`~perclap.laplacian.BoundaryCondition.mirror`): one clean
+factorization at E counts its own condition at E and the mirror
+condition at the grid energy paired with 4d - E
 (:func:`mirror_partners`).  The shape's three operators share one
 elimination order, fixed by its first factorization; later energies
 are factored in that order without ordering again.  The counting
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
+from .config import GRID_POINTS, GRID_REFINE
 from .exceptions import DomainError, NumericError
 from .laplacian import (
     DENSE_THRESHOLD,
@@ -186,16 +188,6 @@ def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
     return (count, clean) if report_clean else count
 
 
-# On a bipartite cluster, with S = diag((-1)^|x|), S (deg - A) S = deg + A,
-# so D = 4d I - S N S and Dt = 4d I - S Dt S: the spectrum of each
-# condition is 4d minus that of its mirror.
-MIRROR = {
-    BoundaryCondition.NEUMANN: BoundaryCondition.DIRICHLET,
-    BoundaryCondition.PSEUDO_DIRICHLET: BoundaryCondition.PSEUDO_DIRICHLET,
-    BoundaryCondition.DIRICHLET: BoundaryCondition.NEUMANN,
-}
-
-
 def mirror_partners(grid: np.ndarray, d: int) -> np.ndarray:
     """For each grid energy E, the index of the grid energy nearest 4d - E,
     or -1 if none lies within ``ATOM_TOL_FACTOR * 4d`` of it.
@@ -238,7 +230,7 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     Every eigenvalue counts at E >= 4d (1 - 1e-12) (:func:`_counts_all`);
     each energy below is counted by :func:`count_leq`.  One clean
     factorization there (see its ``report_clean``) also counts the mirror
-    condition (:data:`MIRROR`) at the partner energy g ~ 4d - E of
+    condition (``bc.mirror``) at the partner energy g ~ 4d - E of
     :func:`mirror_partners`: its count there is n - count, when g is not
     an integer and E lies at least the snap 1e-12 * 4d above 0.  Below
     that, the eigenvalues > E leave out the partner's eigenvalue at 4d,
@@ -252,7 +244,7 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     d, n = cluster.d, cluster.n_vertices
     snap = ATOM_TOL_FACTOR * 4 * d
     shape = cache.setdefault(("giant", cluster.canonical_key()), GiantCounts())
-    mirror = MIRROR[bc]
+    mirror = bc.mirror
     partners = mirror_partners(grid, d)
     out = np.empty(grid.size, dtype=np.int64)
     op = None
@@ -297,8 +289,6 @@ _SPECTRUM_CACHE: dict = {}
 
 def cluster_eigenvalues(cluster: Cluster, bc: BoundaryCondition, cache=None) -> np.ndarray:
     """Cached dense spectrum of one cluster under one boundary condition."""
-    if cluster.n_vertices == 1:
-        return np.array([float(bc.isolated_value(cluster.d))])
     if cache is None:
         cache = _SPECTRUM_CACHE
     key = (bc.value, cluster.canonical_key())
@@ -326,7 +316,7 @@ def shape_spectra(ensemble: ShapeEnsemble, bc: BoundaryCondition, cache) -> list
     """Spectrum of every shape of ``ensemble``, by shape id.
 
     None for a shape above :data:`DENSE_THRESHOLD`.  Uncached shapes of
-    2 to ``DENSE_THRESHOLD`` vertices are grouped by vertex count; a
+    up to ``DENSE_THRESHOLD`` vertices are grouped by vertex count; a
     group of one goes through :func:`cluster_eigenvalues`, a larger one
     through stacked solves of at most ``DENSE_THRESHOLD**2`` matrix
     entries each.  Every spectrum solved is stored in ``cache``.
@@ -336,9 +326,6 @@ def shape_spectra(ensemble: ShapeEnsemble, bc: BoundaryCondition, cache) -> list
     for sid, c in enumerate(ensemble.shapes):
         n = c.n_vertices
         if n > DENSE_THRESHOLD:
-            continue
-        if n == 1:
-            spectra[sid] = cluster_eigenvalues(c, bc, cache)
             continue
         spectra[sid] = cache.get((bc.value, c.canonical_key()))
         if spectra[sid] is None:
@@ -369,7 +356,7 @@ def lowest_nonzero(eigs: np.ndarray, bc: BoundaryCondition) -> float:
     return float(eigs[0])
 
 
-def default_grid(d: int, points: int = 512, refine: int = 40) -> np.ndarray:
+def default_grid(d: int, points: int = GRID_POINTS, refine: int = GRID_REFINE) -> np.ndarray:
     """Uniform grid on [0, 4d] plus geometric refinement at both edges."""
     width = 4.0 * d
     uniform = np.linspace(0.0, width, points)

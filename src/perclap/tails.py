@@ -24,6 +24,7 @@ from .spectral import EmpiricalIDS, zero_tolerance
 logger = logging.getLogger(__name__)
 
 TAIL_FLOOR_ANALYTIC = 1e-300
+TAIL_POINTS = 96  # log-spaced energies of an analytic tail fit
 DECAY_MIN_COUNT = 50
 # bound on the origin-cluster BFS pool: DECAY_BATCH_SLOTS // n_vertices
 # slots (at least 1, at most the sample count), each a visited row of
@@ -60,17 +61,11 @@ def _path_counts(energy: float, n: np.ndarray, bc: BoundaryCondition) -> np.ndar
     raise DomainError(f"series supports N and Dt only, got {bc}")
 
 
-def ids_1d_series(p: float, energy: float, bc: BoundaryCondition, n_max: int | None = None) -> float:
-    """N_X(E) - N_X(0) for d=1, exact up to the geometric truncation."""
-    return float(ids_1d_series_many(p, [energy], bc, n_max)[0])
-
-
-def _series_truncation_checked(p, energy, n_max):
+def _series_truncation_checked(p, energy):
     """The truncation at ``energy``, or the error that forbids the series."""
     if not 0.0 < energy <= 4.0:
         raise DomainError(f"energy must be in (0,4], got {energy}")
-    if n_max is None:
-        n_max = series_truncation(p, energy)
+    n_max = series_truncation(p, energy)
     if n_max > MAX_ARRAY_ITEMS:
         raise UnsupportedSizeError(
             f"series truncation n_max={n_max:.3e} at E={energy:g} exceeds "
@@ -80,11 +75,6 @@ def _series_truncation_checked(p, energy, n_max):
     if tail >= 1e-16:
         raise PrecisionError(
             f"truncation n_max={n_max} leaves weight tail ~{tail:.3e} >= 1e-16"
-        )
-    if n_max < 4.0 * math.pi / math.sqrt(energy):
-        raise PrecisionError(
-            f"truncation n_max={n_max} misses paths contributing at E={energy}; "
-            f"need >= {4.0 * math.pi / math.sqrt(energy):.0f}"
         )
     return n_max
 
@@ -119,9 +109,9 @@ def _weight_prefix(p: float, length: int):
     return n, weights
 
 
-def ids_1d_series_many(p, energies, bc, n_max=None) -> np.ndarray:
-    """:func:`ids_1d_series` at each energy; each energy gets its own
-    truncation by default.
+def ids_1d_series_many(p, energies, bc) -> np.ndarray:
+    """N_X(E) - N_X(0) for d=1 at each energy, exact up to the geometric
+    truncation :func:`series_truncation`, which each energy gets its own.
 
     The path weights (1-p)^2 p^(n-1) are computed once, up to the largest
     truncation, and each energy sums the first ``n_max`` of them.  Both
@@ -141,7 +131,7 @@ def ids_1d_series_many(p, energies, bc, n_max=None) -> np.ndarray:
     if not 0.0 < p < 1.0:
         raise DomainError(f"bond probability must be in (0,1), got {p}")
     energies = np.asarray(energies, dtype=np.float64).tolist()
-    n_maxes = [_series_truncation_checked(p, e, n_max) for e in energies]
+    n_maxes = [_series_truncation_checked(p, e) for e in energies]
     length = max(n_maxes, default=0)
     n, prefix = _weight_prefix(p, length)
     weights, counts = np.zeros(length), np.zeros(length)
@@ -158,15 +148,12 @@ def ids_1d_series_many(p, energies, bc, n_max=None) -> np.ndarray:
 class TailFit:
     """Double-log slope of the band-edge mass against the edge distance."""
 
-    bc: BoundaryCondition
-    edge: str  # "lower" | "upper"
-    window: tuple
     slope: float
     residual: float
     n_points: int
 
 
-def _fit_double_log(gaps, mass, bc, edge, window, floor):
+def _fit_double_log(gaps, mass, floor):
     gaps = np.asarray(gaps, dtype=np.float64)
     mass = np.asarray(mass, dtype=np.float64)
     keep = (mass > floor) & (mass < 1.0) & (gaps > 0)
@@ -178,47 +165,41 @@ def _fit_double_log(gaps, mass, bc, edge, window, floor):
     y = np.log(-np.log(mass[keep]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return TailFit(bc, edge, (float(window[0]), float(window[1])),
-                   float(slope), resid, int(keep.sum()))
+    return TailFit(float(slope), resid, int(keep.sum()))
 
 
 def analytic_tail_fit(p: float, bc: BoundaryCondition, window,
-                      edge: str = "lower", n_points: int = 96) -> TailFit:
-    """Tail exponent fit on the d=1 series over a log-spaced energy window.
+                      edge: str = "lower") -> TailFit:
+    """Tail exponent fit on the d=1 series over :data:`TAIL_POINTS`
+    log-spaced energies of a window.
 
-    Upper-edge fits use the spectral reflection: the Dirichlet mass at
-    distance g below 4d equals the Neumann mass at energy g (and the
-    Pseudo-Dirichlet spectrum is reflection symmetric), so the fit runs
-    on identical data.
+    An upper edge is fitted as the lower edge of ``bc.mirror``: the mass
+    at distance g below 4d equals the mirror's mass at energy g, so the
+    fit runs on identical data.  The series has no Dirichlet lower edge,
+    so a fit that would need it is refused.
     """
     lo, hi = window
     if not 0.0 < lo < hi <= 4.0:
         raise DomainError(f"window must satisfy 0 < lo < hi <= 4, got {window}")
-    if edge == "lower":
-        series_bc = bc
-    elif edge == "upper":
-        if bc is BoundaryCondition.DIRICHLET:
-            series_bc = BoundaryCondition.NEUMANN
-        elif bc is BoundaryCondition.PSEUDO_DIRICHLET:
-            series_bc = BoundaryCondition.PSEUDO_DIRICHLET
-        else:
-            raise DomainError("analytic upper-edge fit supports Dt and D only")
-    else:
+    if edge not in ("lower", "upper"):
         raise DomainError(f"edge must be 'lower' or 'upper', got {edge!r}")
-    gaps = np.geomspace(lo, hi, n_points)
-    mass = _series_mass(p, lo, hi, n_points, series_bc)
-    return _fit_double_log(gaps, mass, bc, edge, window, TAIL_FLOOR_ANALYTIC)
+    series_bc = bc if edge == "lower" else bc.mirror
+    if series_bc is BoundaryCondition.DIRICHLET:
+        raise DomainError(f"analytic {edge}-edge fit of {bc.value}: "
+                          f"the d=1 series has no Dirichlet lower edge")
+    gaps = np.geomspace(lo, hi, TAIL_POINTS)
+    return _fit_double_log(gaps, _series_mass(p, lo, hi, series_bc), TAIL_FLOOR_ANALYTIC)
 
 
 @lru_cache(maxsize=8)
-def _series_mass(p, lo, hi, n_points, series_bc) -> np.ndarray:
-    """The series on ``n_points`` log-spaced gaps in [lo, hi], read-only.
+def _series_mass(p, lo, hi, series_bc) -> np.ndarray:
+    """The series on :data:`TAIL_POINTS` log-spaced gaps in [lo, hi],
+    read-only.
 
-    Cached because reflected fits share their data: the Dirichlet upper
-    edge evaluates the Neumann lower series, and the Pseudo-Dirichlet
-    upper edge the Pseudo-Dirichlet lower one.
+    Cached because mirrored fits share their data: an upper edge
+    evaluates the lower-edge series of its mirror.
     """
-    mass = ids_1d_series_many(p, np.geomspace(lo, hi, n_points), series_bc)
+    mass = ids_1d_series_many(p, np.geomspace(lo, hi, TAIL_POINTS), series_bc)
     mass.setflags(write=False)
     return mass
 
@@ -241,17 +222,13 @@ def fit_tail(ids: EmpiricalIDS, edge: str, window) -> TailFit:
         mass = top - ids.evaluate(energies)
     else:
         raise DomainError(f"edge must be 'lower' or 'upper', got {edge!r}")
-    return _fit_double_log(gaps, mass, ids.bc, edge, window, floor)
+    return _fit_double_log(gaps, mass, floor)
 
 
 @dataclass(frozen=True)
 class DecayFit:
     """Exponential decay of the origin-cluster size distribution."""
 
-    d: int
-    p: float
-    samples: int
-    sizes_n: np.ndarray          # size thresholds used in the fit
     survival: np.ndarray         # P(|cluster of origin| >= n), all n
     zeta_hat: float
     r_squared: float
@@ -336,13 +313,12 @@ def cluster_size_decay(d: int, p: float, samples: int, seed: int,
 
     # surv_counts[n - 1] = #{samples with size >= n}, n = 1..max size
     surv_counts = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
-    n_all = np.arange(1, surv_counts.size + 1)
     survival = surv_counts / samples
 
     keep = surv_counts >= DECAY_MIN_COUNT
     if int(keep.sum()) < 4:
         raise InsufficientDataError("too few size thresholds with enough samples")
-    n = n_all[keep].astype(np.float64)
+    n = np.flatnonzero(keep) + 1.0
     s = survival[keep]
     y = np.log(s)
     design = np.column_stack((np.ones_like(n), np.log(n + 1.0), n))
@@ -354,8 +330,5 @@ def cluster_size_decay(d: int, p: float, samples: int, seed: int,
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
-    return DecayFit(
-        d=d, p=p, samples=samples,
-        sizes_n=n_all[keep], survival=survival,
-        zeta_hat=float(-coef[2]), r_squared=r2, truncated=truncated,
-    )
+    return DecayFit(survival=survival, zeta_hat=float(-coef[2]), r_squared=r2,
+                    truncated=truncated)

@@ -283,6 +283,32 @@ def test_mc_tails_on_supercritical_box_skip_unfittable_edges(tmp_path, capsys):
     assert manifest["outputs"] == {}
 
 
+def test_mc_tails_build_each_ids_in_config_order_whatever_the_hash_seed(tmp_path):
+    """An mc tails run pools its conditions in boundary_conditions order,
+    not in the order of a set of names, which moves with PYTHONHASHSEED.
+    The order decides which condition factors the giant shape and which
+    reads mirrored counts, so the DEBUG lines show it; the bytes agree
+    either way."""
+    cfg = _write(tmp_path, {"d": 2, "L": 48, "p": 0.6, "seed": 1, "task": "tails",
+                            "tail_mode": "mc", "grid_points": 64, "grid_refine": 0,
+                            "tail_window": [0.01, 2]})
+    runs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "perclap.cli", "tails", "--config", cfg,
+             "--out", str(out), "-v", "DEBUG"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        giant = [ln for ln in proc.stderr.splitlines() if "giant shape" in ln]
+        runs.append(((out / "manifest.json").read_bytes(), giant))
+    assert runs[0] == runs[1]
+    assert [ln.split(",")[0] for ln in runs[0][1]] == [
+        f"DEBUG perclap.spectral: bc {bc}" for bc in BC_NAMES]
+
+
 def _cli_stderr(tmp_path, *flags):
     cfg = _write(tmp_path, {"d": 2, "L": 4, "p": 0.3, "task": "decay",
                             "decay_radius": 2, "decay_samples": 2000})
@@ -320,10 +346,18 @@ def test_cli_writes_expected_outputs(tmp_path):
 
 
 def test_emit_graph_flag(tmp_path):
-    cfg = _write(tmp_path, {**MINIMAL, "L": 50, "task": "ids"})
+    """Every realization is dumped with its seed and open edges, and
+    hashed in the manifest."""
+    cfg = _write(tmp_path, {**MINIMAL, "L": 50, "task": "ids", "realizations": 2})
     out = tmp_path / "out"
     assert main(["ids", "--config", cfg, "--out", str(out), "--emit-graph"]) == 0
-    assert (out / "graph_r0000.json").exists()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    for i in range(2):
+        dump = json.loads((out / f"graph_r{i:04d}.json").read_text())
+        g = sample_graph(LatticeBox(1, 50), 0.3, derive_seed(0, i))
+        assert dump["seed"] == g.seed
+        assert dump["open_edges"] == np.column_stack((g.open_eu, g.open_ev)).tolist()
+        assert f"graph_r{i:04d}.json" in outputs
 
 
 def _run_and_hash(cfg_dict, out_dir):

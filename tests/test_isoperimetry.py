@@ -197,7 +197,7 @@ def test_check_stack_counts_each_violation_kind():
         assert counts[kind].tolist() == [f.get(kind, 0) for f in fired], kind
     assert_report_columns(rep, [c] * len(rows), _stack(rows))
     # single vertices: a range row, with its reflection kept, between clean rows
-    iso = {bc: np.array([float(bc.isolated_value(1))]) for bc in ALL_BCS}
+    iso = {N: np.array([0.0]), DT: np.array([2.0]), D: np.array([4.0])}
     rows = [iso, {**iso, N: np.array([-1e-6]), D: np.array([4.0 + 1e-6])}, iso]
     counts, rep = check_stack([ISOLATED] * 3, _stack(rows), grid)
     assert rep is None

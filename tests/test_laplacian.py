@@ -7,6 +7,7 @@ from perclap import LatticeBox, clusters, make_cubic_cluster, make_linear_cluste
 from perclap.isoperimetry import REFLECTION_TOL
 from perclap.kernels import derive_seed
 from perclap.laplacian import ALL_BCS, assemble
+from perclap.lattice import make_cluster
 
 N, DT, D = ALL_BCS
 
@@ -19,10 +20,15 @@ def test_two_vertex_matrices_exact():
 
 
 def test_isolated_vertex_values():
+    """The 1x1 matrices are 0, 2d and 4d, and each is 4d minus its
+    mirror's (S = 1 on one vertex)."""
     for d in (1, 2, 3):
-        assert N.isolated_value(d) == 0
-        assert DT.isolated_value(d) == 2 * d
-        assert D.isolated_value(d) == 4 * d
+        c = make_cluster(d, np.array([0]), np.zeros((1, d), dtype=np.int64),
+                         np.zeros((0, 2), dtype=np.int64))
+        matrices = {bc: assemble(c, bc).matrix.tolist() for bc in ALL_BCS}
+        assert matrices == {N: [[0]], DT: [[2 * d]], D: [[4 * d]]}
+        for bc in ALL_BCS:
+            assert matrices[bc.mirror] == [[4 * d - matrices[bc][0][0]]]
 
 
 def test_assembly_matches_reference(small_ensemble):

@@ -685,7 +685,7 @@ def test_spectrum_cache_shared_across_translates():
     for c in clusters(g):
         for bc in ALL_BCS:
             cluster_eigenvalues(c, bc, cache)
-    shapes = {c.canonical_key() for c in clusters(g) if c.n_vertices > 1}
+    shapes = {c.canonical_key() for c in clusters(g)}  # the isolated vertex too
     assert len(cache) == 3 * len(shapes)
 
 
@@ -704,10 +704,11 @@ def _count_calls(monkeypatch, fn, calls):
 @pytest.mark.parametrize("task", ["all", "verify"])
 def test_run_all_solves_each_shape_once(task, tmp_path, monkeypatch):
     """ids, verify, mc tails and the FK ratios share one decomposition per
-    realization, one spectrum per (shape, bc) and one Cheeger cut search
-    per shape of 2 to EXHAUSTIVE_CUTOFF vertices.  Also when verify runs
-    alone, it solves in bulk: a single solve only for a vertex count that
-    holds one shape."""
+    realization, one spectrum per (shape, bc), the isolated vertex's 1x1
+    ones included, one Cheeger cut search per shape of 2 to
+    EXHAUSTIVE_CUTOFF vertices and, in all, one IDS per boundary
+    condition.  Also when verify runs alone, it solves in bulk: a single
+    solve only for a vertex count that holds one shape."""
     cfg = config_from_dict({
         "d": 2, "L": 16, "p": 0.35, "realizations": 3, "seed": 5, "task": task,
         "grid_points": 64, "grid_refine": 8, "tail_mode": "mc",
@@ -717,9 +718,9 @@ def test_run_all_solves_each_shape_once(task, tmp_path, monkeypatch):
         c.canonical_key(): c.n_vertices
         for i in range(cfg.realizations)
         for c in clusters(sample_graph(LatticeBox(2, 16), 0.35, derive_seed(5, i)))
-        if c.n_vertices > 1
     }
     per_size = Counter(shapes.values())
+    assert per_size[1] == 1
     assert max(per_size.values()) > 1
     # every (bc, shape) diagonalized, as a single solve or a stacked row
     solves = Counter()
@@ -739,6 +740,7 @@ def test_run_all_solves_each_shape_once(task, tmp_path, monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, lattice.clusters, calls)
     _count_calls(monkeypatch, kernels.best_cheeger_cut, calls)
+    _count_calls(monkeypatch, spectral.empirical_ids, calls)
     monkeypatch.setattr(spectral, "_SPECTRUM_CACHE", {})
     monkeypatch.setattr(spectral, "eigenvalues", counting)
     monkeypatch.setattr(spectral, "_stacked_eigenvalues", counting_stack)
@@ -748,7 +750,8 @@ def test_run_all_solves_each_shape_once(task, tmp_path, monkeypatch):
     assert singles and all(per_size[n] == 1 for _, n in singles)
     assert calls["clusters"] == cfg.realizations
     assert calls["best_cheeger_cut"] == sum(
-        1 for n in shapes.values() if n <= EXHAUSTIVE_CUTOFF)
+        1 for n in shapes.values() if 2 <= n <= EXHAUSTIVE_CUTOFF)
+    assert calls["empirical_ids"] == (len(ALL_BCS) if task == "all" else 0)
 
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -800,13 +803,11 @@ def test_shape_spectra_match_per_shape_solves(d, L, p, monkeypatch):
             for c, eigs in zip(ensemble.shapes, spectra):
                 if c.n_vertices > threshold:
                     assert eigs is None
-                elif c.n_vertices == 1:
-                    assert eigs.tolist() == [bc.isolated_value(d)]
                 else:
                     assert eigs.tobytes() == assemble(c, bc).spectrum.tobytes()
                     assert cache[(bc.value, c.canonical_key())] is eigs
             again = shape_spectra(ensemble, bc, cache)  # every solve is a cache hit
-            assert all(a is b for a, b, n in zip(again, spectra, sizes) if n > 1)
+            assert all(a is b for a, b in zip(again, spectra))
         assert all(m * n * n <= threshold ** 2 for m, n, _ in stacks)
         if d == 1:  # every d = 1 shape is a path, alone at its vertex count
             assert stacks == []
@@ -817,8 +818,8 @@ def test_shape_spectra_match_per_shape_solves(d, L, p, monkeypatch):
 
 def test_shape_spectra_logs_solve_counts(caplog):
     ensemble = ShapeEnsemble([sample_graph(LatticeBox(2, 16), 0.35, derive_seed(2, 0))])
-    multi = Counter(c.n_vertices for c in ensemble.shapes if c.n_vertices > 1)
-    assert min(multi.values()) == 1 < max(multi.values())
+    multi = Counter(c.n_vertices for c in ensemble.shapes)  # the isolated vertex too
+    assert multi[1] == 1 < max(multi.values())
     cache = {}
     with caplog.at_level("DEBUG", logger="perclap.spectral"):
         for bc in ALL_BCS:

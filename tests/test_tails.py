@@ -20,13 +20,14 @@ from perclap import (
 from perclap.kernels import component_roots, derive_seed, edge_open_mask
 from perclap.laplacian import ALL_BCS, DENSE_THRESHOLD, assemble
 from perclap.lattice import ShapeEnsemble
+from perclap.runner import expected_slope
 from perclap.spectral import default_grid
 from perclap import tails
 from perclap.tails import (
+    TAIL_POINTS,
     _path_counts,
     analytic_tail_fit,
     fit_tail,
-    ids_1d_series,
     ids_1d_series_many,
     origin_cluster_samples,
     series_truncation,
@@ -57,8 +58,8 @@ def test_series_total_mass_identities():
     """At E = 4 the series counts every nonzero eigenvalue per vertex:
     1 - 2(1-p)/... for N it is 1 - kappa = p... exactly p for N and 1 for Dt."""
     p = 0.3
-    assert ids_1d_series(p, 4.0, N) == pytest.approx(p, abs=1e-12)
-    assert ids_1d_series(p, 4.0, DT) == pytest.approx(1.0, abs=1e-12)
+    assert ids_1d_series_many(p, [4.0], N)[0] == pytest.approx(p, abs=1e-12)
+    assert ids_1d_series_many(p, [4.0], DT)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_monotone_in_energy():
@@ -80,21 +81,22 @@ def test_series_matches_long_box_expectation():
     hist = np.bincount([c.n_vertices for c in clusters(g)])
     ns = np.arange(1, hist.size, dtype=np.float64)
     for bc in (N, DT):
-        for E in (0.5, 1.0, 2.5):
+        energies = [0.5, 1.0, 2.5]
+        for E, ana in zip(energies, ids_1d_series_many(p, energies, bc).tolist()):
             emp = float(np.dot(hist[1:], _path_counts(E, ns, bc))) / L
-            ana = ids_1d_series(p, E, bc)
             assert abs(emp - ana) < 4.0 * math.sqrt(ana * (1 - ana) / L) + 1e-4
 
 
-def test_series_domain_and_precision_guards():
+def test_series_domain_and_precision_guards(monkeypatch):
     with pytest.raises(DomainError):
-        ids_1d_series(1.5, 1.0, N)
+        ids_1d_series_many(1.5, [1.0], N)
     with pytest.raises(DomainError):
-        ids_1d_series(0.3, 5.0, N)
+        ids_1d_series_many(0.3, [5.0], N)
+    with pytest.raises(DomainError):
+        ids_1d_series_many(0.3, [1.0], D)
+    monkeypatch.setattr(tails, "series_truncation", lambda p, e: 5)
     with pytest.raises(PrecisionError):
-        ids_1d_series(0.3, 1.0, N, n_max=5)  # weight tail too heavy
-    with pytest.raises(PrecisionError):
-        ids_1d_series(0.3, 1e-6, N, n_max=40)  # misses contributing paths
+        ids_1d_series_many(0.3, [1.0], N)  # weight tail too heavy
 
 
 def _reference_series(p, energy, bc):
@@ -134,7 +136,7 @@ def test_series_shared_weights_equal_per_energy_body(p, energies, side):
         want = np.array([_reference_series(p, float(e), bc) for e in energies])
         got = ids_1d_series_many(p, energies, bc)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), bc
-        assert ids_1d_series(p, float(energies[-1]), bc) == want[-1]
+        assert ids_1d_series_many(p, energies[-1:], bc).tobytes() == want[-1:].tobytes()
 
 
 def test_series_of_no_energies_is_empty():
@@ -196,24 +198,37 @@ def test_analytic_tail_fit_upper_edge_identities():
         analytic_tail_fit(p, N, w, edge="lower").slope
     assert analytic_tail_fit(p, DT, w, edge="upper").slope == \
         analytic_tail_fit(p, DT, w, edge="lower").slope
-    with pytest.raises(DomainError):
-        analytic_tail_fit(p, N, w, edge="upper")
+    # the series has no Dirichlet lower edge, so neither it nor its
+    # mirror, the Neumann upper edge, is fitted
+    for bc, edge in ((N, "upper"), (D, "lower")):
+        with pytest.raises(DomainError):
+            analytic_tail_fit(p, bc, w, edge=edge)
     with pytest.raises(DomainError):
         analytic_tail_fit(p, N, w, edge="sideways")
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_expected_slope_pairs_each_upper_edge_with_its_mirror(d):
+    """-1/2 at the Neumann lower and the Dirichlet upper edge, -d/2 at
+    every other edge."""
+    want = {("N", "lower"): -0.5, ("D", "upper"): -0.5}
+    for bc in ("N", "Dt", "D"):
+        for edge in ("lower", "upper"):
+            assert expected_slope(bc, edge, d) == want.get((bc, edge), -d / 2), (bc, edge)
+
+
 def test_reflected_analytic_fits_evaluate_each_series_once():
-    p, w, n = 0.3, (1e-6, 1e-3), 24
+    p, w = 0.3, (1e-6, 1e-3)
     tails._series_mass.cache_clear()
-    fits = [analytic_tail_fit(p, bc, w, edge=edge, n_points=n)
+    fits = [analytic_tail_fit(p, bc, w, edge=edge)
             for bc, edge in ((N, "lower"), (DT, "lower"), (D, "upper"), (DT, "upper"))]
     info = tails._series_mass.cache_info()
     assert (info.misses, info.hits) == (2, 2)
     assert fits[2].slope == fits[0].slope and fits[3].slope == fits[1].slope
     for bc in (N, DT):
-        mass = tails._series_mass(p, *w, n, bc)
+        mass = tails._series_mass(p, *w, bc)
         assert not mass.flags.writeable
-        assert np.array_equal(mass, ids_1d_series_many(p, np.geomspace(*w, n), bc))
+        assert np.array_equal(mass, ids_1d_series_many(p, np.geomspace(*w, TAIL_POINTS), bc))
 
 
 def test_fit_tail_on_empirical_ids():

@@ -88,6 +88,14 @@ MUTANTS = (
         "pool does",
     ),
     Mutant(
+        "neumann-its-own-mirror", "laplacian.py",
+        "if self is BoundaryCondition.NEUMANN:\n            return BoundaryCondition.DIRICHLET",
+        "if self is BoundaryCondition.NEUMANN:\n            return BoundaryCondition.NEUMANN",
+        "mirrored_giant or analytic_tail_fit_upper_edge_identities or expected_slope",
+        "spec(D) = 4d - spec(N): the Neumann upper edge is the Dirichlet lower "
+        "one, and a Neumann factorization's positive pivots count Dirichlet",
+    ),
+    Mutant(
         "mirror-across-snap-window", "spectral.py",
         "if clean and j >= 0 and snap <= E <= 4 * d - snap:",
         "if clean and j >= 0:",
