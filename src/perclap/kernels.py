@@ -136,100 +136,102 @@ def component_roots(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarr
     return parent
 
 
-def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, wall: np.ndarray,
-                       origin: int, master: int, samples: int, slots: int, p: float):
+# size of the origin-cluster BFS seed ring, in frontier bounds: the live
+# samples of the 100k-sample d=2, p=0.3 decay run span at most 6.5 bounds,
+# so at 8 the ring holds no sample back there
+_RING_BOUNDS = 8
+
+
+def origin_cluster_bfs(neighbours: np.ndarray, edge_ids: np.ndarray, origin: int,
+                       master: int, samples: int, bound: int, p: float):
     """Size of the origin's cluster, and whether it reaches the wall, in
     the realizations of streams ``derive_seed(master, i)``, i < samples.
 
     ``neighbours[v, j]`` is the j-th lattice neighbour of vertex v (-1 past
-    the wall), ``edge_ids[v, j]`` the uint64 candidate-edge index of that
-    bond and ``wall[v]`` marks the vertices on the box wall.  A pool of
-    ``slots`` streams (at least 1, at most ``samples``) runs one frontier
-    BFS from the origin per round; a slot whose frontier empties writes
-    its sample's result, resets its visited row and takes the next sample.
-    The BFS draws a bond only when it leads to an unvisited vertex, with
-    the uniform ``edge_uniforms`` gives that edge (counter ``edge index +
-    1``), so each cluster is exactly the origin's cluster of the fully
-    drawn realization, whatever the pool size.  Returns ``(sizes,
-    touched)``; working memory is one bool per (slot, vertex), plus one
-    per slot.
+    the wall), directions 2a and 2a + 1 being the two along axis a, and
+    ``edge_ids[v, j]`` the uint64 candidate-edge index of that bond.  Every
+    live sample's BFS from the origin advances one level per round.  A bond
+    is drawn with the uniform ``edge_uniforms`` gives its edge (counter
+    ``edge index + 1``): the seed plus ``(edge index + 1) * golden``,
+    finalized and tested against the integer threshold of ``_is_open``.  So
+    each cluster is exactly the origin's cluster of the fully drawn
+    realization, whatever the bound.  Returns ``(sizes, touched)``.
 
-    Each visited row has an extra wall column, index n_vertices, that is
-    always set: a neighbour past the wall points there, so it reads as
-    visited and needs no mask of its own.  Two flat per-(vertex,
-    direction) tables, built once per call, give the neighbour and the
-    counter step ``(edge index + 1) * golden``; a draw is the slot's seed
-    plus that step, finalized in place and tested against the integer
-    threshold of ``_is_open``.  One index array, the unvisited lookups of
-    the round, drives every later gather.
+    No visited set: Z^d is bipartite, so an open bond from level t leads to
+    level t - 1 or t + 1, and every open bond into level t - 1 was drawn
+    from its far side a round earlier, which is how the vertex entered
+    level t.  So an entry, one per (sample, vertex) of the frontier, keeps
+    a mask of the directions it arrived by (OR'd over all its parents) and
+    of those past the wall, and draws every other direction: an open one
+    leads to level t + 1.  A bond back into an older level reads closed,
+    as it did when first drawn.
+
+    An entry is one int64, ``(sample - base) << (vbits + degree) | vertex
+    << degree | mask`` with ``base`` the oldest live sample, so a value
+    sort orders the frontier by sample and folds duplicate arrivals, and
+    the offset, below the ring size, keeps the key under 2^63.  Samples
+    join at the origin while the frontier holds fewer than ``bound``
+    entries; their seeds are derived ``bound`` at a time into a ring of
+    ``_RING_BOUNDS * bound``, and none joins that would wrap the ring past
+    ``base``.  Working memory is O(bound) besides the two outputs.
     """
     nv, degree = neighbours.shape
-    row = nv + 1
-    k = min(samples, max(1, slots))
-    to = np.where(neighbours >= 0, neighbours, nv).astype(np.intp, copy=False).ravel()
-    step = (edge_ids + np.uint64(1)).ravel()
+    cols = np.arange(degree)
+    vbits = (nv - 1).bit_length()
+    shift = vbits + degree
+    ring = np.empty(_RING_BOUNDS * bound, dtype=np.uint64)
+    if ring.size.bit_length() + shift > 63:
+        raise ValueError(f"{nv} vertices of degree {degree} overflow the packed entry")
+    vmask, amask = (1 << vbits) - 1, (1 << degree) - 1
+    # free[m, j]: an entry with mask m draws direction j
+    free = (np.arange(1 << degree)[:, None] >> cols & 1) == 0
+    step = edge_ids + np.uint64(1)
     step *= _U_GOLDEN
-    # lookups are direction-major, (degree, frontier), so that each
-    # elementwise pass runs along the frontier
-    dirs = np.arange(degree)[:, None]
-    # a reset row: only the origin and the wall column set
-    blank = np.zeros(row, dtype=bool)
-    blank[[origin, nv]] = True
-    visited = np.tile(blank, (k, 1))
-    flat = visited.reshape(-1)
-    sizes = np.empty(samples, dtype=np.int64)
-    touched = np.empty(samples, dtype=bool)
-    # per slot: its sample index, stream seed, cluster size and wall contact
-    at = np.arange(k, dtype=np.int64)
-    seeds = derive_seeds(master, 0, k)
-    size = np.ones(k, dtype=np.int64)
-    reach = np.full(k, bool(wall[origin]))
-    live = np.ones(k, dtype=bool)
-    slot = at.copy()
-    vertex = np.full(k, origin, dtype=np.int64)
-    start = k
-    # seeds of samples first, first + 1, ...: derived k at a time, since a
-    # derive_seeds call costs more than a round's refill of a few slots
-    first, queued = k, derive_seeds(master, k, k)
-    while slot.size:
-        lookup = dirs + vertex * degree
-        key = to[lookup]
-        key += slot * row
-        key = key.ravel()
-        fresh = np.flatnonzero(~flat[key])
-        key = key[fresh]
-        z = step[lookup.ravel()[fresh]]
-        z += seeds[key // row]
-        key = key[_is_open(_mix(z), p)]
+    # the entry an open bond leads to, less its sample: the vertex across
+    # and its arrival bit, the reverse of direction j being j ^ 1
+    across = (neighbours << degree | 1 << (cols ^ 1)).ravel()
+    walls = ((neighbours < 0) << cols).sum(axis=1)
+    sizes = np.ones(samples, dtype=np.int64)
+    touched = np.full(samples, walls[origin] != 0)
+    front = np.empty(0, dtype=np.int64)
+    base = start = derived = rounds = since = 0
+    while True:
+        m = min(samples - start, bound - front.size, base - base % bound + ring.size - start)
+        if m > 0:
+            while derived < start + m:
+                ring[derived % ring.size:][:bound] = derive_seeds(master, derived, bound)
+                derived += bound
+            joined = np.arange(start - base, start - base + m) << shift
+            joined |= origin << degree | int(walls[origin])
+            front = np.concatenate((front, joined))
+            start += m
+        if not front.size:
+            return sizes, touched
+        off, vertex = front >> shift, front >> degree & vmask
+        z = step.take(vertex, axis=0)
+        z += ring[(off + base) % ring.size][:, None]
+        hit = _is_open(_mix(z), p)
+        hit &= free.take(front & amask, axis=0)
+        at, j = np.divmod(np.flatnonzero(hit), degree)
+        key = (off << shift)[at]
+        key |= across[vertex[at] * degree + j]
         key.sort()
-        if key.size > 1:
-            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        flat[key] = True
-        slot, vertex = np.divmod(key, row)
-        grown = np.bincount(slot, minlength=k)
-        size += grown
-        reach[slot[wall[vertex]]] = True
-        done = np.flatnonzero(live & (grown == 0))
-        if not done.size:
-            continue
-        sizes[at[done]], touched[at[done]] = size[done], reach[done]
-        visited[done] = blank
-        m = min(done.size, samples - start)
-        live[done[m:]] = False
-        if not m:
-            continue
-        done = done[:m]
-        at[done] = np.arange(start, start + m)
-        if start + m > first + queued.size:
-            queued = np.concatenate((queued[start - first:],
-                                     derive_seeds(master, first + queued.size, k)))
-            first = start
-        seeds[done] = queued[start - first:start - first + m]
-        start += m
-        size[done], reach[done] = 1, bool(wall[origin])
-        slot = np.concatenate((slot, done))
-        vertex = np.concatenate((vertex, np.full(m, origin, dtype=np.int64)))
-    return sizes, touched
+        front = np.bitwise_or.reduceat(key, np.flatnonzero(np.diff(key >> degree, prepend=-1)))
+        wall = walls[front >> degree & vmask]
+        front |= wall
+        off = front >> shift
+        np.add.at(sizes, off + base, 1)
+        touched[off[wall != 0] + base] = True
+        # rebase on the oldest live sample: it stays live one round per
+        # level of its BFS, at most as many rounds as its box has vertices
+        rounds += 1
+        low = int(off[0]) if front.size else start - base
+        if low:
+            base, since = base + low, rounds
+            front -= low << shift
+        elif rounds - since > nv:
+            raise RuntimeError(f"an origin-cluster BFS ran past {nv} rounds: "
+                               "the arrival masks are wrong")
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,16 @@ class LatticeBox:
 
 @lru_cache(maxsize=32)
 def _candidate_edges(d, L):
-    idx = np.arange(L ** d, dtype=np.int64)
+    # the vertex indices as a C-order (L,)*d grid, whose axis d-1-nu is
+    # coordinate nu: the lower ends along nu are the grid less its last
+    # slice on that axis, the upper ends less its first, each raveled in
+    # ascending index order
+    grid = np.arange(L ** d, dtype=np.int64).reshape((L,) * d)
     eu_parts, ev_parts = [], []
     for nu in range(d):
-        step = L ** nu
-        lower = idx[(idx // step) % L < L - 1]
-        eu_parts.append(lower)
-        ev_parts.append(lower + step)
+        head = (slice(None),) * (d - 1 - nu)
+        eu_parts.append(grid[head + (slice(None, -1),)].ravel())
+        ev_parts.append(grid[head + (slice(1, None),)].ravel())
     eu = np.concatenate(eu_parts)
     ev = np.concatenate(ev_parts)
     eu.setflags(write=False)
@@ -92,8 +95,8 @@ def sample_graph(box: LatticeBox, p: float, seed: int) -> PercolationGraph:
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"bond probability out of range: {p}")
     eu, ev = box.candidate_edges()
-    mask = kernels.edge_open_mask(seed, box.n_edges, p)
-    return PercolationGraph(box, p, seed, eu[mask], ev[mask])
+    opened = np.flatnonzero(kernels.edge_open_mask(seed, box.n_edges, p))
+    return PercolationGraph(box, p, seed, eu[opened], ev[opened])
 
 
 def graph_to_json_dict(graph: PercolationGraph) -> dict:

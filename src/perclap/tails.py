@@ -26,12 +26,11 @@ logger = logging.getLogger(__name__)
 TAIL_FLOOR_ANALYTIC = 1e-300
 TAIL_POINTS = 96  # log-spaced energies of an analytic tail fit
 DECAY_MIN_COUNT = 50
-# bound on the origin-cluster BFS pool: DECAY_BATCH_SLOTS // n_vertices
-# slots (at least 1, at most the sample count), each a visited row of
-# n_vertices flags plus the always-set wall column, one byte each.  So
-# 512 KiB and one byte per slot (one box, if larger) whatever the sample
-# count, e.g. 481 slots of 1090 flags on the 33x33 box of radius 16
-DECAY_BATCH_SLOTS = 1 << 19
+# bound on the origin-cluster BFS frontier: samples join while it holds
+# fewer entries.  Its working memory, the seed ring of 8 bounds included,
+# is about 1 MiB traced on the 33x33 box at this value, whatever the
+# sample count; a larger bound takes fewer, larger rounds
+DECAY_FRONTIER = 4096
 
 # engineering caps well below the literature percolation thresholds;
 # the source analysis never states numeric p_c values
@@ -243,8 +242,9 @@ def _default_decay_radius(d: int, p: float) -> int:
 
 def _neighbour_table(box: LatticeBox):
     """(neighbours, edge_ids), each (n_vertices, 2d): the vertex across
-    each axis direction (-1 past the wall) and that bond's candidate-edge
-    index (uint64), as ``LatticeBox.candidate_edges`` numbers the edges."""
+    each axis direction (-1 past the wall), column 2a a step down axis a
+    and 2a + 1 a step up, and that bond's candidate-edge index (uint64),
+    as ``LatticeBox.candidate_edges`` numbers the edges."""
     eu, ev = box.candidate_edges()
     ids = np.arange(eu.size, dtype=np.uint64)
     axis = np.repeat(np.arange(box.d), box.n_edges // box.d)
@@ -261,18 +261,15 @@ def origin_cluster_samples(d: int, p: float, samples: int, seed: int, radius: in
     Realization i is bond percolation on the box of side 2*radius + 1
     centred on the origin, drawn from ``derive_seed(seed, i)`` exactly as
     ``sample_graph`` would draw it.  One ``origin_cluster_bfs`` call runs
-    the samples through a pool of ``DECAY_BATCH_SLOTS // n_vertices``
-    stream slots (at least 1, at most ``samples``), refilled as clusters
-    finish.  Returns ``(sizes, touched)``.
+    the samples' BFS together, in a frontier of about ``DECAY_FRONTIER``
+    entries that new samples join as old ones finish.  Returns ``(sizes,
+    touched)``.
     """
-    side = 2 * radius + 1
-    box = LatticeBox(d, side)
+    box = LatticeBox(d, 2 * radius + 1)
     neighbours, edge_ids = _neighbour_table(box)
-    coords = box.coords(np.arange(box.n_vertices, dtype=np.int64))
-    wall = np.any((coords == 0) | (coords == side - 1), axis=1)
     origin = int(box.linear_index(np.full(d, radius, dtype=np.int64)))
-    return kernels.origin_cluster_bfs(neighbours, edge_ids, wall, origin, seed, samples,
-                                      DECAY_BATCH_SLOTS // box.n_vertices, p)
+    return kernels.origin_cluster_bfs(neighbours, edge_ids, origin, seed, samples,
+                                      DECAY_FRONTIER, p)
 
 
 def decay_domain_problem(d: int, p: float) -> str | None:

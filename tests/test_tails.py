@@ -22,7 +22,7 @@ from perclap.laplacian import ALL_BCS, DENSE_THRESHOLD, assemble
 from perclap.lattice import ShapeEnsemble
 from perclap.runner import expected_slope
 from perclap.spectral import default_grid
-from perclap import tails
+from perclap import kernels, tails
 from perclap.tails import (
     TAIL_POINTS,
     _path_counts,
@@ -326,14 +326,15 @@ def test_cluster_size_decay_reproducible():
 
 def _reference_origin_clusters(d, p, samples, seed, radius):
     """Per-sample loop: draw every edge of the box, label all components.
-    Also returns how many of the box's 2d faces some cluster reaches."""
+    Also returns how many of the box's 2d faces some cluster reaches, and
+    how many clusters hold a cycle."""
     side = 2 * radius + 1
     box = LatticeBox(d, side)
     eu, ev = box.candidate_edges()
     origin = box.linear_index(np.full(d, radius))
     coords = box.coords(np.arange(box.n_vertices))
     wall = np.any((coords == 0) | (coords == side - 1), axis=1)
-    sizes, touched = [], []
+    sizes, touched, cyclic = [], [], 0
     faces = np.zeros((2, d), dtype=bool)
     for i in range(samples):
         mask = edge_open_mask(derive_seed(seed, i), box.n_edges, p)
@@ -342,7 +343,8 @@ def _reference_origin_clusters(d, p, samples, seed, radius):
         sizes.append(int(in_cluster.sum()))
         touched.append(bool(np.any(in_cluster & wall)))
         faces |= np.stack((coords[in_cluster] == 0, coords[in_cluster] == side - 1)).any(axis=1)
-    return sizes, touched, int(faces.sum())
+        cyclic += int(np.count_nonzero(in_cluster[eu[mask]]) >= sizes[-1])
+    return sizes, touched, int(faces.sum()), cyclic
 
 
 @pytest.mark.parametrize("d, p, samples, radius", [
@@ -353,11 +355,14 @@ def _reference_origin_clusters(d, p, samples, seed, radius):
     (3, 0.19, 2000, 1),   # every vertex but the origin is on the wall
     (1, 0.95, 2000, 3),   # long paths out to both ends
     (2, 1e-9, 500, 16),   # every cluster is the origin alone
+    (2, 0.39, 1000, 16),  # cycles: a vertex joins from two parents at once
+    (3, 0.19, 1000, 4),
 ])
 def test_origin_cluster_samples_match_per_sample_loop(d, p, samples, radius):
     seed = derive_seed(96, d)
     sizes, touched = origin_cluster_samples(d, p, samples, seed, radius)
-    want_sizes, want_touched, faces = _reference_origin_clusters(d, p, samples, seed, radius)
+    want_sizes, want_touched, faces, cyclic = _reference_origin_clusters(
+        d, p, samples, seed, radius)
     assert sizes.tolist() == want_sizes
     assert touched.tolist() == want_touched
     if radius <= 3:
@@ -377,18 +382,32 @@ def test_origin_cluster_samples_match_per_sample_loop(d, p, samples, radius):
     (2, 0.3, 1, 16),
     (2, 0.35, 500, 2),    # most clusters reach the wall
     (3, 0.19, 300, 1),    # every vertex but the origin is on the wall
+    (1, 0.95, 300, 40),   # long paths hold the oldest sample for many rounds
 ])
 def test_origin_cluster_samples_independent_of_pool_size(monkeypatch, d, p, samples, radius):
-    """1 slot, 3 slots and more slots than samples give the same clusters
-    as the default pool: the refill order cannot change a result."""
+    """Frontier bounds of 1, 3 and more than the sample count, and a seed
+    ring of a single bound, give the same clusters as the defaults: the
+    order in which samples join cannot change a result.  At the small
+    bounds the ring wraps many times; a ring of 3 seeds holds new samples
+    back whenever one more would wrap it past the oldest live sample."""
     seed = derive_seed(97, d)
     want_sizes, want_touched = origin_cluster_samples(d, p, samples, seed, radius)
-    n_vertices = (2 * radius + 1) ** d
-    for slots in (1, 3, samples + 7):
-        monkeypatch.setattr(tails, "DECAY_BATCH_SLOTS", slots * n_vertices)
+    for bound, ring in ((1, 8), (3, 8), (samples + 7, 8), (3, 1)):
+        monkeypatch.setattr(tails, "DECAY_FRONTIER", bound)
+        monkeypatch.setattr(kernels, "_RING_BOUNDS", ring)
         sizes, touched = origin_cluster_samples(d, p, samples, seed, radius)
-        assert np.array_equal(sizes, want_sizes), slots
-        assert np.array_equal(touched, want_touched), slots
+        assert np.array_equal(sizes, want_sizes), (bound, ring)
+        assert np.array_equal(touched, want_touched), (bound, ring)
+
+
+def test_origin_cluster_bfs_refuses_an_entry_past_63_bits():
+    """An entry packs its sample offset (below the seed ring's size), its
+    vertex and one bit per direction in an int64; a table whose entries
+    would not fit is refused before any round runs."""
+    neighbours = np.full((2, 60), -1)
+    with pytest.raises(ValueError, match="overflow"):
+        kernels.origin_cluster_bfs(neighbours, np.zeros((2, 60), dtype=np.uint64),
+                                   0, 1, 1, 1, 0.5)
 
 
 def test_origin_cluster_samples_memory_bound():

@@ -208,6 +208,24 @@ MUTANTS = (
         "the uniform must be strictly below p",
     ),
     Mutant(
+        "frontier-ignores-arrival-mask", "kernels.py",
+        "hit &= free.take(front & amask, axis=0)",
+        "hit &= free.take(walls[vertex], axis=0)",
+        "origin",
+        "an entry must not draw the bonds it arrived by: redrawn open, they "
+        "lead back to its parents, and the search bounces between levels "
+        "until the round guard raises",
+    ),
+    Mutant(
+        "frontier-keeps-one-parent", "kernels.py",
+        "front = np.bitwise_or.reduceat(key,",
+        "front = np.minimum.reduceat(key,",
+        "origin",
+        "a vertex reached from two parents in one round arrived by both "
+        "bonds; kept with one bit, it redraws the other, open, back into "
+        "the older level, and the search never settles",
+    ),
+    Mutant(
         "series-prefix-at-weight-truncation", "tails.py",
         "    k = min(weight_cutoff(p), length)\n"
         "    n, weights = prefix(k)\n"
