@@ -1,14 +1,12 @@
 """Command-line entry point.
 
-Usage: perclap <task> --config <file> [--out <dir>] [--emit-graph]
-                [-v/--log-level <level>]
+Usage: perclap <task> --config <file> [--out <dir>] [-v/--log-level <level>]
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure; the
 exit-3 message names the kind, e.g. ``numeric failure (domain): ...``.
 """
 
 import argparse
-import dataclasses
 import logging
 import sys
 
@@ -27,8 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--emit-graph", action="store_true",
-                        help="dump each sampled realization as JSON")
     parser.add_argument("-v", "--log-level", default="WARNING", type=str.upper,
                         choices=LOG_LEVELS,
                         help="least severe log records written to stderr (default WARNING)")
@@ -40,8 +36,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = parse_config(args.config)
-        if args.emit_graph:
-            cfg = dataclasses.replace(cfg, emit_graph=True)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -266,70 +266,71 @@ def _group_bounds(keys):
 
 
 class ShapeEnsemble:
-    """The clusters of realizations as a table of distinct shapes.
+    """The clusters of realizations of one box as a table of distinct shapes.
 
-    ``graphs`` is any iterable of realizations of one dimension, read
-    once, so a generator streams them and only one is held at a time.
-    ``shapes`` holds one representative per ``canonical_key()`` in
-    first-seen order, ``counts`` its multiplicity and ``order`` the shape
-    id of every cluster in realization and cluster order.  Each
-    realization is decomposed once by :func:`clusters`, and only the
-    int32 arrays of its keyed clusters are kept; no per-cluster
-    :class:`Cluster` is built.
+    ``graphs`` is any iterable of realizations of one :class:`LatticeBox`,
+    read once, so a generator streams them and only one is held at a
+    time; graphs of different boxes raise :class:`DomainError`.
+    ``shapes`` holds one representative per ``canonical_key()``, numbered
+    by vertex count and, within one count, in first-seen order, so the
+    isolated shape is shape 0 whenever a vertex is isolated.  ``bounds``
+    are the bounds of the runs of equal vertex count over the shape ids:
+    shapes ``bounds[r]`` to ``bounds[r + 1] - 1`` share one count, which
+    rises strictly with r.  ``counts`` holds each shape's multiplicity,
+    ``order`` the shape id of every cluster of two or more vertices in
+    realization and cluster order, and ``n_clusters`` the number of all
+    clusters.  Each realization is decomposed once by :func:`clusters`,
+    and only the int32 arrays of its clusters of two or more vertices
+    are kept; no per-cluster :class:`Cluster` is built.
 
-    Isolated vertices are all one shape, so they never enter the key
-    table: the ``multi`` masks place them, and their shape takes its id
-    and representative from the first of them.  The keys of the other
-    clusters are compared in bulk over the whole ensemble, on the values
-    ``canonical_key()`` hashes: grouped by vertex and edge count, equal
-    int32 rows of coordinates minus their per-axis minimum and local
-    edges are found by a stable lexsort.  Each distinct key, in
-    first-seen order, gets a read-only int64 representative rebuilt from
-    its first cluster's key material.
+    Isolated vertices never enter the key table: they are the vertices
+    that no other cluster holds, and their shape's representative is the
+    first of them.  The keys of the other clusters are compared in bulk
+    over the whole ensemble, on the values ``canonical_key()`` hashes:
+    grouped by vertex and edge count, equal int32 rows of coordinates
+    minus their per-axis minimum and local edges are found by a stable
+    lexsort.  Each distinct key gets a read-only int64 representative
+    rebuilt from its first cluster's key material.
     """
 
     def __init__(self, graphs):
-        self.d, self.total_vertices = None, 0
-        columns, isolated = [[] for _ in range(6)], None
+        box, self.total_vertices = None, 0
+        columns, isolated = [[] for _ in range(4)], None
         for g in graphs:
-            if self.d is None:
-                self.d = g.box.d
-            elif g.box.d != self.d:
-                raise DomainError("all graphs must share the lattice dimension")
-            self.total_vertices += g.box.n_vertices
+            if box is None:
+                box = g.box
+            elif g.box != box:
+                raise DomainError("all graphs must share one lattice box")
+            self.total_vertices += box.n_vertices
             seq = clusters(g)
-            _key_columns(columns, g.box, seq)
+            _key_columns(columns, seq)
             if isolated is None and not seq.multi.all():
                 isolated = seq[int(np.argmin(seq.multi))]
-        if self.d is None:
+        if box is None:
             raise DomainError("an ensemble needs at least one graph")
-        keys = _KeyMaterial(self.d, columns)
+        self.d = box.d
+        keys = _KeyMaterial(box, columns)
         firsts, head = keys.first_seen()
-        self.shapes = [keys.representative(c) for c in firsts.tolist()]
-        ids = np.searchsorted(firsts, head)
-        self.order = np.empty(keys.multi.size, dtype=np.int64)
-        if isolated is not None:
-            # the isolated shape's slot: where its first cluster falls
-            # among the first clusters of the other shapes
-            keyed = np.flatnonzero(keys.multi)
-            iso = int(np.searchsorted(keyed[firsts], np.argmin(keys.multi)))
-            ids += ids >= iso
-            self.shapes.insert(iso, isolated)
-            self.order[~keys.multi] = iso
-        self.order[keys.multi] = ids
+        by_size = np.argsort(keys.sizes[firsts], kind="stable")
+        self.shapes = [] if isolated is None else [isolated]
+        ids = np.empty(firsts.size, dtype=np.int64)
+        ids[by_size] = np.arange(len(self.shapes), len(self.shapes) + firsts.size)
+        self.order = ids[np.searchsorted(firsts, head)]
+        self.shapes += [keys.representative(c) for c in firsts[by_size].tolist()]
+        self.bounds = _group_bounds(np.array([c.n_vertices for c in self.shapes]))
+        n_isolated = self.total_vertices - int(keys.sizes.sum())
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
-        self.n_clusters = self.order.size
+        self.counts[0] += n_isolated
+        self.n_clusters = self.order.size + n_isolated
 
 
-def _key_columns(columns, box, seq):
-    """Append the key columns of one realization to ``columns``: the box
-    side, vertex and edge counts, flat vertices and local edges of its
-    keyed clusters, and their mask ``multi``, read from ``seq`` with no
-    copy.  All but the mask are int32, as a box holds at most
-    ``config.MAX_VERTICES`` = 2**31 - 1 vertices."""
-    sizes = np.diff(seq.vbounds)
-    part = (np.full(sizes.size, box.L, dtype=np.int32), sizes, np.diff(seq.ebounds),
-            seq.order, seq.edges.ravel(), seq.multi)
+def _key_columns(columns, seq):
+    """Append the key columns of one realization to ``columns``: the
+    vertex and edge counts, flat vertices and local edges of its clusters
+    of two or more vertices, read from ``seq`` with no copy.  All are
+    int32, as a box holds at most ``config.MAX_VERTICES`` = 2**31 - 1
+    vertices."""
+    part = (np.diff(seq.vbounds), np.diff(seq.ebounds), seq.order, seq.edges.ravel())
     for column, a in zip(columns, part):
         column.append(a)
 
@@ -351,18 +352,17 @@ _COMPARE_ITEMS = 1 << 16
 
 
 class _KeyMaterial:
-    """Global vertices, box side and local edges of every cluster of two
-    or more vertices of an ensemble, in cluster order: what
-    ``canonical_key()`` is made of.  ``multi`` marks those clusters among
-    all clusters of the ensemble; the isolated ones have no key columns.
+    """Global vertices and local edges of every cluster of two or more
+    vertices of an ensemble of one box, in cluster order: what
+    ``canonical_key()`` is made of.
 
     ``columns`` holds one list of per-realization arrays per column; each
     list is emptied as it is joined.
     """
 
-    def __init__(self, d, columns):
-        self.d = d
-        self.side, self.sizes, self.esizes, self.vertices, self.edges, self.multi = (
+    def __init__(self, box, columns):
+        self.box = box
+        self.sizes, self.esizes, self.vertices, self.edges = (
             _join(column) for column in columns)
         self.vstart = np.cumsum(self.sizes) - self.sizes
         self.estart = 2 * (np.cumsum(self.esizes) - self.esizes)
@@ -372,13 +372,13 @@ class _KeyMaterial:
         coordinates minus their per-cluster minimum, axis by axis, then
         the local edges.  Two rows are equal exactly when the clusters'
         ``canonical_key()`` values are."""
-        rows = np.empty((members.size, self.d * n + 2 * ne), dtype=np.int32)
+        d, side = self.box.d, self.box.L
+        rows = np.empty((members.size, d * n + 2 * ne), dtype=np.int32)
         vertices = self.vertices[self.vstart[members, None] + np.arange(n)]
-        side = self.side[members, None]
-        for axis in range(self.d):
+        for axis in range(d):
             coord = vertices // side ** axis % side
             rows[:, axis * n:(axis + 1) * n] = coord - coord.min(axis=1, keepdims=True)
-        rows[:, self.d * n:] = self.edges[self.estart[members, None] + np.arange(2 * ne)]
+        rows[:, d * n:] = self.edges[self.estart[members, None] + np.arange(2 * ne)]
         return rows
 
     def first_seen(self):
@@ -417,8 +417,7 @@ class _KeyMaterial:
         n, ne = int(self.sizes[c]), int(self.esizes[c])
         vertices = self.vertices[self.vstart[c]:self.vstart[c] + n].astype(np.int64)
         edges = self.edges[self.estart[c]:self.estart[c] + 2 * ne].reshape(ne, 2).astype(np.int64)
-        coords = LatticeBox(self.d, int(self.side[c])).coords(vertices)
-        return make_cluster(self.d, vertices, coords, edges)
+        return make_cluster(self.box.d, vertices, self.box.coords(vertices), edges)
 
 
 def make_linear_cluster(n: int, d: int) -> Cluster:

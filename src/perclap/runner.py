@@ -137,35 +137,32 @@ _REPORT_CHUNK = 1 << 14
 def _run_verify(cfg, ensemble, grid, outputs, out, cache):
     """Check every shape on the spectra that ``ids`` shares: one
     :func:`shape_spectra` call per boundary condition, after refusing
-    the first shape above the dense threshold before any solve, then one
-    :func:`check_stack` per vertex count on the stacked spectra."""
-    sizes = np.array([c.n_vertices for c in ensemble.shapes])
-    for n in sizes.tolist():
-        require_dense(n)
+    the largest shape, the last, if it is above the dense threshold,
+    before any solve; then one :func:`check_stack` per run of
+    ``ensemble.bounds``, a vertex count, on its stacked spectra."""
+    require_dense(ensemble.shapes[-1].n_vertices)
     by_bc = {bc: shape_spectra(ensemble, bc, cache) for bc in ALL_BCS}
     # shape id -> report.csv row with its newline, for shapes of 2 or more vertices
     rows = np.empty(len(ensemble.shapes), dtype=object)
     violations = dict.fromkeys(VIOLATION_KINDS, 0)
     fk_min = None
-    by_size = np.argsort(sizes, kind="stable")
-    for sids in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-        shapes = [ensemble.shapes[sid] for sid in sids.tolist()]
-        stacks = {bc: np.stack([s[sid] for sid in sids.tolist()]) for bc, s in by_bc.items()}
-        counts, rep = check_stack(shapes, stacks, grid)
-        weights = ensemble.counts[sids]
+    bounds = ensemble.bounds.tolist()
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        stacks = {bc: s[r] for bc, s in by_bc.items()}
+        counts, rep = check_stack(ensemble.shapes[lo:hi], stacks, grid)
+        weights = ensemble.counts[lo:hi]
         for kind, k in counts.items():
             violations[kind] += int(k @ weights)
         if rep is None:
             continue
         fk = float(rep.fk_ratio.min())
         fk_min = fk if fk_min is None else min(fk_min, fk)
-        rows[sids] = np.array(_report_rows(rep), dtype=object)
+        rows[lo:hi] = _report_rows(rep)
 
     def lines():
         yield "size,e1_N,e1_Dt,e1_D,h_ch,cheeger_margin,crude_margin,fk_ratio\n"
         for lo in range(0, ensemble.order.size, _REPORT_CHUNK):
-            sids = ensemble.order[lo:lo + _REPORT_CHUNK]
-            yield "".join(rows[sids[sizes[sids] > 1]].tolist())
+            yield "".join(rows[ensemble.order[lo:lo + _REPORT_CHUNK]].tolist())
 
     outputs["report.csv"] = _write_chunks(out / "report.csv", lines())
     summary = {

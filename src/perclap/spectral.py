@@ -313,39 +313,41 @@ def _stacked_eigenvalues(shapes, bc: BoundaryCondition):
 
 
 def shape_spectra(ensemble: ShapeEnsemble, bc: BoundaryCondition, cache) -> list:
-    """Spectrum of every shape of ``ensemble``, by shape id.
+    """Spectra of the shapes of ``ensemble`` up to :data:`DENSE_THRESHOLD`
+    vertices: one (k, n) array per run of ``ensemble.bounds``, whose row
+    i is the ascending spectrum of shape ``bounds[r] + i``.  The shapes
+    above the threshold, the last ones, get none.
 
-    None for a shape above :data:`DENSE_THRESHOLD`.  Uncached shapes of
-    up to ``DENSE_THRESHOLD`` vertices are grouped by vertex count; a
-    group of one goes through :func:`cluster_eigenvalues`, a larger one
-    through stacked solves of at most ``DENSE_THRESHOLD**2`` matrix
-    entries each.  Every spectrum solved is stored in ``cache``.
+    In each run, the uncached shapes are solved together: a single one
+    through :func:`cluster_eigenvalues`, more through stacked solves of
+    at most ``DENSE_THRESHOLD**2`` matrix entries each.  Every spectrum
+    solved is stored in ``cache``.
     """
-    spectra = [None] * len(ensemble.shapes)
-    pending = {}  # vertex count -> ids of uncached shapes
-    for sid, c in enumerate(ensemble.shapes):
-        n = c.n_vertices
+    stacks = []
+    bounds = ensemble.bounds.tolist()
+    solved = stacked = singles = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        n = ensemble.shapes[lo].n_vertices
         if n > DENSE_THRESHOLD:
-            continue
-        spectra[sid] = cache.get((bc.value, c.canonical_key()))
-        if spectra[sid] is None:
-            pending.setdefault(n, []).append(sid)
-    stacked = singles = 0
-    for n, sids in pending.items():
-        if len(sids) == 1:
-            spectra[sids[0]] = cluster_eigenvalues(ensemble.shapes[sids[0]], bc, cache)
+            break
+        shapes = ensemble.shapes[lo:hi]
+        rows = [cache.get((bc.value, c.canonical_key())) for c in shapes]
+        missing = [i for i, eigs in enumerate(rows) if eigs is None]
+        if len(missing) == 1:
+            rows[missing[0]] = cluster_eigenvalues(shapes[missing[0]], bc, cache)
             singles += 1
-            continue
-        per_chunk = DENSE_THRESHOLD ** 2 // (n * n)
-        for lo in range(0, len(sids), per_chunk):
-            chunk = sids[lo:lo + per_chunk]
-            shapes = [ensemble.shapes[sid] for sid in chunk]
-            for sid, c, eigs in zip(chunk, shapes, _stacked_eigenvalues(shapes, bc)):
-                spectra[sid] = cache[(bc.value, c.canonical_key())] = eigs
-            stacked += 1
+        elif missing:
+            per_chunk = DENSE_THRESHOLD ** 2 // (n * n)
+            for at in range(0, len(missing), per_chunk):
+                chunk = missing[at:at + per_chunk]
+                for i, eigs in zip(chunk, _stacked_eigenvalues([shapes[i] for i in chunk], bc)):
+                    rows[i] = cache[(bc.value, shapes[i].canonical_key())] = eigs
+                stacked += 1
+        solved += len(missing)
+        stacks.append(np.stack(rows))
     log.debug("bc %s: %d shapes solved, %d stacked calls, %d single solves",
-              bc.value, sum(map(len, pending.values())), stacked, singles)
-    return spectra
+              bc.value, solved, stacked, singles)
+    return stacks
 
 
 def lowest_nonzero(eigs: np.ndarray, bc: BoundaryCondition) -> float:
@@ -418,11 +420,12 @@ class EmpiricalIDS:
 def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> EmpiricalIDS:
     """Pool cluster spectra of an ensemble with weight 1/(total vertices).
 
-    ``graphs`` are realizations of one dimension or their
-    :class:`ShapeEnsemble`.  Each shape's spectrum enters the pool once,
-    weighted by the shape's multiplicity; above the dense threshold its
-    inertia counts on the grid, times that multiplicity, are added to
-    the grid counts instead.  The grid is kept sorted and distinct, the
+    ``graphs`` are realizations of one box or their
+    :class:`ShapeEnsemble`.  Each shape's spectrum, a row of the
+    :func:`shape_spectra` stacks, enters the pool once, weighted by the
+    shape's multiplicity; for the shapes above the dense threshold, the
+    last ones, the inertia counts on the grid, times that multiplicity,
+    are added to the grid counts instead.  The grid is kept sorted and distinct, the
     order :meth:`EmpiricalIDS.evaluate` reads those counts in.
     """
     ensemble = graphs if isinstance(graphs, ShapeEnsemble) else ShapeEnsemble(graphs)
@@ -430,21 +433,19 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
 
     if cache is None:
         cache = _SPECTRUM_CACHE
-    pools, dense_ids = [], []
+    stacks = shape_spectra(ensemble, bc, cache)
+    bounds = ensemble.bounds.tolist()
     extra = None
-    spectra = shape_spectra(ensemble, bc, cache)
-    for i, (c, m, eigs) in enumerate(zip(ensemble.shapes, ensemble.counts.tolist(), spectra)):
-        if eigs is None:
-            inertia = m * giant_grid_counts(c, bc, grid, cache)
-            extra = inertia if extra is None else extra + inertia
-        else:
-            pools.append(eigs)
-            dense_ids.append(i)
-    if pools:
-        values = np.concatenate(pools)
+    giants = bounds[len(stacks)]  # the first shape above the dense threshold
+    for c, m in zip(ensemble.shapes[giants:], ensemble.counts[giants:].tolist()):
+        inertia = m * giant_grid_counts(c, bc, grid, cache)
+        extra = inertia if extra is None else extra + inertia
+    if stacks:
+        values = np.concatenate([s.ravel() for s in stacks])
         rank = np.argsort(values, kind="stable")
         values = values[rank]
-        weights = np.repeat(ensemble.counts[dense_ids], [eigs.size for eigs in pools])
+        weights = np.concatenate([np.repeat(ensemble.counts[lo:hi], s.shape[1])
+                                  for lo, hi, s in zip(bounds, bounds[1:], stacks)])
         cumulative = np.concatenate(([0], np.cumsum(weights[rank])))
     else:
         values, cumulative = np.empty(0), np.zeros(1, dtype=np.int64)

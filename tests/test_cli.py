@@ -346,12 +346,16 @@ def test_cli_writes_expected_outputs(tmp_path):
 
 
 def test_emit_graph_flag(tmp_path):
-    """Every realization is dumped with its seed and open edges, and
-    hashed in the manifest."""
-    cfg = _write(tmp_path, {**MINIMAL, "L": 50, "task": "ids", "realizations": 2})
+    """With the config key ``emit_graph``, every realization is dumped with
+    its seed and open edges, and hashed in the manifest, which records the
+    key."""
+    cfg = _write(tmp_path, {**MINIMAL, "L": 50, "task": "ids", "realizations": 2,
+                            "emit_graph": True})
     out = tmp_path / "out"
-    assert main(["ids", "--config", cfg, "--out", str(out), "--emit-graph"]) == 0
-    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert main(["ids", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["emit_graph"] is True
+    outputs = manifest["outputs"]
     for i in range(2):
         dump = json.loads((out / f"graph_r{i:04d}.json").read_text())
         g = sample_graph(LatticeBox(1, 50), 0.3, derive_seed(0, i))

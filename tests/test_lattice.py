@@ -321,8 +321,8 @@ def test_shape_ensemble_decomposes_through_the_clusters_binding(monkeypatch):
     ``lattice.clusters``, so the shape table must decompose each
     realization by exactly one call there, whose length is that
     realization's cluster count, isolated vertices included."""
-    graphs = [sample_graph(LatticeBox(2, L), p, derive_seed(45, i))
-              for i, (L, p) in enumerate(((12, 0.5), (5, 1.0), (4, 0.0), (1, 0.5), (9, 0.3)))]
+    graphs = [sample_graph(LatticeBox(2, 9), p, derive_seed(45, i))
+              for i, p in enumerate((0.5, 1.0, 0.0, 0.3))]
     calls = []
     decompose = lattice.clusters
 
@@ -340,9 +340,29 @@ def test_shape_ensemble_decomposes_through_the_clusters_binding(monkeypatch):
     assert ensemble.n_clusters == sum(n for _, n in calls)
 
 
-def _first_seen_ids(keys):
-    ids = {}
-    return [ids.setdefault(k, len(ids)) for k in keys]
+def _size_major_ids(cs):
+    """The shape id of every cluster of ``cs``: shapes numbered by vertex
+    count, then in first-seen order within one count."""
+    firsts = {}
+    for c in cs:
+        firsts.setdefault(c.canonical_key(), (c.n_vertices, len(firsts)))
+    ids = {key: i for i, key in enumerate(sorted(firsts, key=firsts.get))}
+    return [ids[c.canonical_key()] for c in cs]
+
+
+def _keyed(ids, cs):
+    """The ids of the clusters of two or more vertices: what ``order`` holds."""
+    return [i for i, c in zip(ids, cs) if c.n_vertices > 1]
+
+
+def _assert_bounds(ensemble, cs):
+    """``bounds`` partitions the shape ids into runs of one vertex count,
+    strictly ascending, and shape 0 is isolated whenever a vertex is."""
+    sizes = [c.n_vertices for c in ensemble.shapes]
+    assert sizes == sorted(sizes)
+    changes = [i for i in range(1, len(sizes)) if sizes[i] != sizes[i - 1]]
+    assert ensemble.bounds.tolist() == [0] + changes + [len(sizes)]
+    assert (sizes[0] == 1) == any(c.n_vertices == 1 for c in cs)
 
 
 def test_shape_ensemble_order_matches_canonical_grouping(oracle_graph):
@@ -350,9 +370,12 @@ def test_shape_ensemble_order_matches_canonical_grouping(oracle_graph):
             sample_graph(oracle_graph.box, oracle_graph.p, derive_seed(43, 0))]
     ensemble = ShapeEnsemble(reps)
     cs = [c for g in reps for c in _reference_clusters(g)]
-    want = _first_seen_ids(c.canonical_key() for c in cs)
-    assert ensemble.order.tolist() == want
+    want = _size_major_ids(cs)
+    assert ensemble.order.tolist() == _keyed(want, cs)
+    assert ensemble.counts.tolist() == np.bincount(want).tolist()
+    assert ensemble.n_clusters == len(cs)
     assert len(ensemble.shapes) == max(want) + 1
+    _assert_bounds(ensemble, cs)
     for sid, rep in enumerate(ensemble.shapes):
         first = cs[want.index(sid)]
         assert rep.canonical_key() == first.canonical_key()
@@ -360,16 +383,19 @@ def test_shape_ensemble_order_matches_canonical_grouping(oracle_graph):
         assert not np.shares_memory(rep.vertices, first.vertices)
 
 
-def test_shape_ensemble_merges_translates_across_box_sides():
-    graphs = [sample_graph(LatticeBox(2, L), 0.35, derive_seed(44, L)) for L in (5, 8, 13)]
-    ensemble = ShapeEnsemble(graphs)
-    keys = [c.canonical_key() for g in graphs for c in clusters(g)]
-    assert ensemble.order.tolist() == _first_seen_ids(keys)
-    assert len({c.canonical_key() for c in ensemble.shapes}) == len(ensemble.shapes)
+def test_shape_ensemble_refuses_graphs_of_different_boxes():
+    """One table holds the shapes of one box: a graph of another side or
+    dimension raises, also when it streams in after the first, and also
+    when its box has as many vertices."""
+    first = sample_graph(LatticeBox(2, 5), 0.35, derive_seed(44, 5))
+    for other in (LatticeBox(2, 8), LatticeBox(3, 5), LatticeBox(1, 25)):
+        graphs = iter([first, sample_graph(other, 0.35, derive_seed(44, other.L))])
+        with pytest.raises(DomainError, match="^all graphs must share one lattice box$"):
+            ShapeEnsemble(graphs)
 
 
 def test_shape_ensemble_never_calls_canonical_key(monkeypatch):
-    graphs = [sample_graph(LatticeBox(2, L), 0.35, derive_seed(44, L)) for L in (5, 8, 13)]
+    graphs = [sample_graph(LatticeBox(2, 13), 0.35, derive_seed(44, i)) for i in range(3)]
     calls = []
     key = Cluster.canonical_key
 
@@ -403,52 +429,49 @@ def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
     st.lists(
-        st.tuples(st.integers(min_value=1, max_value=12),
-                  st.floats(min_value=0.0, max_value=1.0),
+        st.tuples(st.floats(min_value=0.0, max_value=1.0),
                   st.integers(min_value=0, max_value=2**32)),
         min_size=1, max_size=4,
     ),
 )
-@example(2, [(5, 0.3, 1), (8, 0.3, 2), (1, 0.5, 3)])
-@example(3, [(2, 0.0, 4), (2, 1.0, 5)])
-@example(3, [(2, 0.3, 1), (4, 0.3, 2)])
-@example(2, [(3, 1.0, 1), (3, 0.0, 2)])
-@example(2, [(12, 0.8, 3), (5, 0.3, 1)])
-@example(2, [(4, 0.0, 1), (3, 0.0, 2)])
-@example(1, [(9, 1.0, 1), (6, 0.5, 2)])
-@example(1, [(9, 0.0, 1), (1, 0.5, 2), (9, 1.0, 3)])
-@example(1, [(1, 0.5, 1)])
-@example(3, [(3, 1.0, 1), (4, 0.4, 2), (1, 0.5, 3)])
-def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, realizations):
-    """Mixed box sides in one ensemble, p from 0 to 1: groups of one
-    member, isolated vertices, and one shape in boxes of different sides
-    all reach the bulk key.  A z-pair of the side-2 box and a y-pair of
-    the side-4 box both have vertex offset 4 and edge [0 1], but their
-    shifted coordinates differ, so they are different shapes.
+@example(3, 2, [(0.0, 4), (1.0, 5)])
+@example(2, 3, [(1.0, 1), (0.0, 2)])
+@example(2, 12, [(0.8, 3), (0.3, 1)])
+@example(2, 4, [(0.0, 1), (0.0, 2)])
+@example(1, 9, [(1.0, 1), (0.5, 2)])
+@example(1, 9, [(0.0, 1), (0.5, 2), (1.0, 3)])
+@example(1, 1, [(0.5, 1)])
+@example(3, 4, [(1.0, 1), (0.4, 2)])
+def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, L, realizations):
+    """One box per example, p from 0 to 1: groups of one member and
+    isolated vertices all reach the bulk key, and the shapes are
+    numbered by vertex count, then first seen within one count.
 
-    The isolated shape is keyed apart from the others, so its slot is
-    checked where it is first seen in a later realization (p = 1, then
-    p = 0), after a giant cluster 0 (p = 0.8, as in the d2_giant
+    The isolated shape is keyed apart from the others, so it is checked
+    to be shape 0 where it is first seen in a later realization (p = 1,
+    then p = 0), after a giant cluster 0 (p = 0.8, as in the d2_giant
     workload), and as the only shape (p = 0 alone, or a box of one
     vertex).  At p = 1 the box's highest vertex is reached only as the
     upper end of its edges."""
-    graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
+    graphs = [sample_graph(LatticeBox(d, L), p, seed) for p, seed in realizations]
     ensemble = ShapeEnsemble(graphs)
     cs = [c for g in graphs for c in _reference_clusters(g)]
-    want = _first_seen_ids(c.canonical_key() for c in cs)
-    assert ensemble.order.tolist() == want
+    want = _size_major_ids(cs)
+    assert ensemble.order.tolist() == _keyed(want, cs)
     assert ensemble.counts.tolist() == np.bincount(want).tolist()
     assert ensemble.n_clusters == len(cs)
     assert ensemble.total_vertices == sum(g.box.n_vertices for g in graphs)
     assert len(ensemble.shapes) == max(want) + 1
     for sid, rep in enumerate(ensemble.shapes):
         _assert_same_cluster(rep, cs[want.index(sid)])
+    _assert_bounds(ensemble, cs)
     isolated = [i for i, c in enumerate(cs) if c.n_vertices == 1]
     if isolated:
-        iso = want[isolated[0]]
-        _assert_same_cluster(ensemble.shapes[iso], cs[isolated[0]])
-        assert ensemble.counts[iso] == len(isolated)
+        assert want[isolated[0]] == 0
+        _assert_same_cluster(ensemble.shapes[0], cs[isolated[0]])
+        assert ensemble.counts[0] == len(isolated)
     if len(isolated) == len(cs):
         assert ensemble.counts.tolist() == [ensemble.n_clusters]
 
@@ -464,20 +487,20 @@ def _assert_simple(c):
 @given(
     st.integers(min_value=1, max_value=3).flatmap(lambda d: st.tuples(
         st.just(d),
+        st.integers(min_value=1, max_value=40 // d ** 2 + 4),
         st.lists(
-            st.tuples(st.integers(min_value=1, max_value=40 // d ** 2 + 4),
-                      st.floats(min_value=0.0, max_value=1.0),
+            st.tuples(st.floats(min_value=0.0, max_value=1.0),
                       st.integers(min_value=0, max_value=2**32)),
             min_size=1, max_size=3,
         ))),
 )
-@example((2, [(12, 1.0, 1), (5, 0.5, 2)]))
+@example((2, 12, [(1.0, 1), (0.5, 2)]))
 def test_clusters_and_shapes_are_simple_graphs(case):
     """The precondition of ``kernels.best_cheeger_cut``: every cluster of
     ``clusters()`` and every ``ShapeEnsemble`` representative is a
     simple graph, at any d, box side and p."""
-    d, realizations = case
-    graphs = [sample_graph(LatticeBox(d, L), p, seed) for L, p, seed in realizations]
+    d, L, realizations = case
+    graphs = [sample_graph(LatticeBox(d, L), p, seed) for p, seed in realizations]
     for g in graphs:
         for c in clusters(g):
             _assert_simple(c)
@@ -497,10 +520,11 @@ def test_shape_ensemble_traced_peak_on_long_paths():
     every cluster peaked at 33.3 MB of traced allocations, keying only
     the clusters of two or more vertices at 17.9 MB, and with int32 key
     columns and rows compared in place it peaks at 11.8 MB, and with
-    int32 vertex and edge counts at 11.1 MB.  The bound leaves 1.4 MB of
-    margin; joining the key columns with np.concatenate, which holds
-    every part beside the joined copy, peaks at 13.7 MB (15.5 MB with
-    int64 counts)."""
+    int32 vertex and edge counts at 11.1 MB, and with no box-side column
+    and no mask over all clusters at 10.4 MB.  The bound leaves 1.0 MB
+    of margin; joining the key columns with np.concatenate, which holds
+    every part beside the joined copy, peaks at 12.4 MB (13.7 MB with
+    the side column and the mask, 15.5 MB with int64 counts)."""
     graphs = [sample_graph(LatticeBox(1, 100_000), 0.3, derive_seed(7, i)) for i in range(4)]
     tracemalloc.start()
     try:
@@ -509,4 +533,4 @@ def test_shape_ensemble_traced_peak_on_long_paths():
     finally:
         tracemalloc.stop()
     assert ensemble.n_clusters == 280_061 and len(ensemble.shapes) == 10
-    assert peak <= 12.5e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak <= 11.4e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -235,25 +235,26 @@ def test_empirical_ids_evaluates_giant_counts_on_an_unsorted_grid(monkeypatch):
 
 def test_empirical_ids_pool_matches_per_shape_weights(monkeypatch):
     """The pooled ``values`` and ``cumulative`` equal, byte for byte, a
-    pool whose weights are built one ``np.full`` per dense shape, on an
-    ensemble where giant shapes sit between dense ones and so stay out
-    of the pool."""
+    pool of the rows of the :func:`shape_spectra` stacks whose weights
+    are built one ``np.full`` per dense shape, on an ensemble whose giant
+    shapes, the last ones, stay out of the pool."""
     graphs = [sample_graph(LatticeBox(2, 8), 0.5, derive_seed(1, i)) for i in range(3)]
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 6)
     monkeypatch.setattr(perclap.laplacian, "DENSE_THRESHOLD", 6)
     ensemble = ShapeEnsemble(graphs)
+    counts = ensemble.counts.tolist()
     for bc in ALL_BCS:
         cache = {}
         ids = empirical_ids(ensemble, bc, cache=cache)
-        spectra = shape_spectra(ensemble, bc, cache)
-        dense = [i for i, eigs in enumerate(spectra) if eigs is not None]
-        giant = [i for i, eigs in enumerate(spectra) if eigs is None]
-        assert ids.extra_grid_counts is not None and min(giant) < max(dense)
-        assert max(ensemble.counts[dense]) > 1
-        values = np.concatenate([spectra[i] for i in dense])
+        spectra = [row for stack in shape_spectra(ensemble, bc, cache) for row in stack]
+        dense = len(spectra)
+        assert ids.extra_grid_counts is not None and dense < len(ensemble.shapes)
+        assert all(c.n_vertices > 6 for c in ensemble.shapes[dense:])
+        assert max(counts[:dense]) > 1
+        values = np.concatenate(spectra)
         rank = np.argsort(values, kind="stable")
-        weights = np.concatenate([np.full(spectra[i].size, ensemble.counts.tolist()[i],
-                                          dtype=np.int64) for i in dense])
+        weights = np.concatenate([np.full(eigs.size, m, dtype=np.int64)
+                                  for eigs, m in zip(spectra, counts)])
         cumulative = np.concatenate(([0], np.cumsum(weights[rank])))
         assert ids.values.tobytes() == values[rank].tobytes(), bc
         assert ids.cumulative.dtype == cumulative.dtype, bc
@@ -757,8 +758,9 @@ def test_run_all_solves_each_shape_once(task, tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_supercritical_verify_refuses_before_any_dense_solve(seed, tmp_path, monkeypatch):
     """verify refuses a shape above the dense threshold before it solves
-    or assembles any shape.  At seed 1 the giant is the first shape; at
-    seed 3 a two-vertex shape comes before it."""
+    or assembles any shape, and names the largest, the last shape of the
+    table, wherever its cluster falls in the box: at seed 1 the giant is
+    the first cluster, at seed 3 a two-vertex cluster comes before it."""
     cfg = config_from_dict({"d": 2, "L": 48, "p": 0.6, "seed": seed, "task": "verify"})
     giant = max(c.n_vertices for c in clusters(sample_graph(LatticeBox(2, 48), 0.6,
                                                             derive_seed(seed, 0))))
@@ -779,6 +781,10 @@ def test_supercritical_verify_refuses_before_any_dense_solve(seed, tmp_path, mon
 SHAPE_SPECTRA_CASES = [(1, 3000, 0.6), (2, 30, 0.45), (3, 10, 0.22)]
 
 
+def _no_solve(*args):
+    raise AssertionError("solved a cached shape")
+
+
 @pytest.mark.parametrize("d, L, p", SHAPE_SPECTRA_CASES)
 def test_shape_spectra_match_per_shape_solves(d, L, p, monkeypatch):
     ensemble = ShapeEnsemble([sample_graph(LatticeBox(d, L), p, derive_seed(4, i))
@@ -794,20 +800,25 @@ def test_shape_spectra_match_per_shape_solves(d, L, p, monkeypatch):
         return stack
 
     monkeypatch.setattr(spectral, "dense_stack", recording)
+    bounds = ensemble.bounds.tolist()
     for threshold in (DENSE_THRESHOLD, 5):
         monkeypatch.setattr(spectral, "DENSE_THRESHOLD", threshold)
         stacks.clear()
         for bc in ALL_BCS:
             cache = {}
             spectra = shape_spectra(ensemble, bc, cache)
-            for c, eigs in zip(ensemble.shapes, spectra):
-                if c.n_vertices > threshold:
-                    assert eigs is None
-                else:
-                    assert eigs.tobytes() == assemble(c, bc).spectrum.tobytes()
-                    assert cache[(bc.value, c.canonical_key())] is eigs
-            again = shape_spectra(ensemble, bc, cache)  # every solve is a cache hit
-            assert all(a is b for a, b in zip(again, spectra))
+            assert [s.shape for s in spectra] == [(hi - lo, sizes[lo]) for lo, hi
+                                                  in zip(bounds, bounds[1:])
+                                                  if sizes[lo] <= threshold]
+            rows = [row for s in spectra for row in s]
+            for c, eigs in zip(ensemble.shapes, rows):
+                assert eigs.tobytes() == assemble(c, bc).spectrum.tobytes()
+                assert cache[(bc.value, c.canonical_key())].tobytes() == eigs.tobytes()
+            with monkeypatch.context() as m:  # every spectrum is a cache hit
+                m.setattr(spectral, "eigenvalues", _no_solve)
+                m.setattr(spectral, "dense_stack", _no_solve)
+                again = shape_spectra(ensemble, bc, cache)
+            assert [a.tobytes() for a in again] == [s.tobytes() for s in spectra]
         assert all(m * n * n <= threshold ** 2 for m, n, _ in stacks)
         if d == 1:  # every d = 1 shape is a path, alone at its vertex count
             assert stacks == []
@@ -880,7 +891,8 @@ def test_shape_dedup_matches_per_cluster_spectra(small_ensemble):
         n_clusters = sum(len(clusters(g)) for g in graphs)
         total = sum(g.box.n_vertices for g in graphs)
         assert (ensemble.n_clusters, ensemble.total_vertices) == (n_clusters, total)
-        assert int(ensemble.counts.sum()) == n_clusters == ensemble.order.size
+        assert int(ensemble.counts.sum()) == n_clusters
+        assert ensemble.order.size == sum(c.n_vertices > 1 for g in graphs for c in clusters(g))
         for bc in ALL_BCS:
             ids = empirical_ids(graphs, bc, cache={})
             assert (ids.n_clusters, ids.total_vertices) == (n_clusters, total)

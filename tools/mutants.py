@@ -130,7 +130,7 @@ MUTANTS = (
     Mutant(
         "stacked-solve-unchunked", "spectral.py",
         "per_chunk = DENSE_THRESHOLD ** 2 // (n * n)",
-        "per_chunk = len(sids)",
+        "per_chunk = len(missing)",
         "shape_spectra",
         "one stacked eigvalsh call holds at most DENSE_THRESHOLD**2 matrix "
         "entries",
@@ -162,12 +162,20 @@ MUTANTS = (
         "scrambles them for d >= 2, where a cluster is not one run of indices",
     ),
     Mutant(
-        "isolated-slot-first", "lattice.py",
-        "iso = int(np.searchsorted(keyed[firsts], np.argmin(keys.multi)))",
-        "iso = 0",
+        "shape-ids-unstable-by-size", "lattice.py",
+        'by_size = np.argsort(keys.sizes[firsts], kind="stable")',
+        "by_size = np.argsort(keys.sizes[firsts])",
         "shape_ensemble",
-        "the isolated shape takes the id where its first cluster falls among "
-        "the first clusters of the other shapes",
+        "shapes of one vertex count keep their first-seen order; an "
+        "unstable sort by count scrambles them",
+    ),
+    Mutant(
+        "isolated-vertices-uncounted", "lattice.py",
+        "n_isolated = self.total_vertices - int(keys.sizes.sum())",
+        "n_isolated = 0",
+        "shape_ensemble",
+        "the isolated vertices have no key columns, but they are clusters: "
+        "the isolated shape's multiplicity and the cluster count hold them",
     ),
     Mutant(
         "cluster-degree-int32", "lattice.py",
@@ -181,8 +189,8 @@ MUTANTS = (
         "_join(column) for column in columns)",
         "np.concatenate(column) for column in columns)",
         "traced_peak_on_long_paths",
-        "np.concatenate holds every part beside the joined copy: 13.7 MB "
-        "traced on d1_paths' graphs against the 12.5 MB bound",
+        "np.concatenate holds every part beside the joined copy: 12.4 MB "
+        "traced on d1_paths' graphs against the 11.4 MB bound",
     ),
     Mutant(
         "verify-fresh-cache", "runner.py",
