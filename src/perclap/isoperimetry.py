@@ -24,7 +24,6 @@ from .spectral import cluster_eigenvalues, lowest_nonzero, zero_tolerance
 EXHAUSTIVE_CUTOFF = 20
 MARGIN_TOL = 1e-12  # a bound margin below -MARGIN_TOL is a violation
 REFLECTION_TOL = 1e-9  # entrywise |spec(D) - (4d - spec(N))|
-REFLECTION_MAX_VERTICES = 500  # the reflection is checked up to this size
 VIOLATION_KINDS = ("reflection", "chain", "cheeger", "crude", "range")
 
 
@@ -114,7 +113,7 @@ def check_stack(shapes, spectra: dict, grid):
     counts the boundary conditions with an eigenvalue outside
     [-tol, 4d + tol], tol = ``zero_tolerance(d)``; every other kind is
     0 or 1.  The reflection |spec(D) - (4d - reversed spec(N))| is
-    checked entrywise up to :data:`REFLECTION_MAX_VERTICES` vertices.
+    checked entrywise, at every size.
 
     The chain N >= Dt >= D of eigenvalue counts at every energy of
     ``grid`` (in any order) is a rule on positions: with pos = the
@@ -132,10 +131,7 @@ def check_stack(shapes, spectra: dict, grid):
     k = e_n.shape[0]
     tol, width = zero_tolerance(d), 4 * d
     counts = dict.fromkeys(VIOLATION_KINDS)
-    if n <= REFLECTION_MAX_VERTICES:
-        counts["reflection"] = np.abs(e_d - (width - e_n[:, ::-1])).max(axis=1) > REFLECTION_TOL
-    else:
-        counts["reflection"] = np.zeros(k, dtype=bool)
+    counts["reflection"] = np.abs(e_d - (width - e_n[:, ::-1])).max(axis=1) > REFLECTION_TOL
     grid = np.sort(grid)
     pos_n, pos_dt, pos_d = (np.searchsorted(grid, e) for e in (e_n, e_dt, e_d))
     counts["chain"] = ~((pos_n <= pos_dt).all(axis=1) & (pos_dt <= pos_d).all(axis=1))

@@ -1,18 +1,16 @@
 """Per-cluster graph Laplacians for the three boundary conditions.
 
 Matrices are assembled with exact integer entries; floating point only
-enters in the eigensolvers.  Clusters up to :data:`DENSE_THRESHOLD`
-vertices get a dense array, larger ones a sparse CSC matrix, so no
-n x n array is allocated for a giant cluster unless its dense
-:attr:`SymmetricOperator.spectrum` is asked for.  For the sparse
-inertia counts an operator also keeps :attr:`SymmetricOperator.shifted`,
-a float64 copy in the elimination order of its first factorization (or
-one handed over from another operator of the same shape), whose
-diagonal is rewritten for each energy.  Dense matrices are
-filled by :func:`dense_stack`, which builds the matrices of many
-clusters of one size as one ``(m, n, n)`` array for a stacked
-eigensolver call; a single dense :func:`assemble` is its one-cluster
-case.
+enters in the eigensolvers.  Dense matrices are filled by
+:func:`dense_stack`, which builds the matrices of many clusters of one
+size as one ``(m, n, n)`` array for a stacked eigensolver call; a
+single :func:`assemble` is its one-cluster case, and it refuses a
+cluster above :data:`DENSE_THRESHOLD` vertices (:func:`require_dense`)
+before allocating anything.  Such a giant cluster gets one sparse
+:class:`ShiftedMatrix` for all three conditions, which differ only on
+the diagonal: the float64 matrix of its inertia counts, stored in the
+elimination order of its first factorization, whose diagonal is
+rewritten for each condition and energy.
 """
 
 import enum
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericError
+from .exceptions import DomainError, NumericError
 from .lattice import Cluster
 
 DENSE_THRESHOLD = 2048  # largest cluster assembled dense and diagonalized
@@ -66,106 +64,112 @@ ALL_BCS = (
 )
 
 
+def require_dense(n: int) -> None:
+    """Refuse a dense matrix of an n-vertex cluster above the threshold."""
+    if n > DENSE_THRESHOLD:
+        raise DomainError(f"cluster size {n} above dense threshold {DENSE_THRESHOLD}")
+
+
+def _eigvalsh(matrix: np.ndarray, cluster: Cluster) -> np.ndarray:
+    """Ascending spectrum of a dense integer matrix of ``cluster``."""
+    try:
+        return np.linalg.eigvalsh(matrix.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigensolver failed on cluster with root vertex "
+            f"{int(cluster.vertices[0])}: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class SymmetricOperator:
-    """Symmetric integer matrix of one Laplacian on one cluster.
-
-    ``matrix`` is an int64 |V| x |V| numpy array up to
-    :data:`DENSE_THRESHOLD` vertices and a scipy CSC matrix above it.
-    Two derived matrices are built on first use and live as long as the
-    operator: the dense :attr:`spectrum` and the :attr:`shifted` matrix
-    that holds the sparse elimination order.
+    """Dense symmetric integer matrix of one Laplacian on one cluster of
+    at most :data:`DENSE_THRESHOLD` vertices: ``matrix`` is an int64
+    |V| x |V| array.  Its :attr:`spectrum` is computed on first use and
+    lives as long as the operator.
     """
 
     cluster: Cluster
     bc: BoundaryCondition
-    matrix: object  # np.ndarray, or scipy.sparse.csc_matrix above DENSE_THRESHOLD
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def spectral_width(self) -> int:
-        return 4 * self.cluster.d
+    matrix: np.ndarray
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """All eigenvalues, ascending, from the dense symmetric solver.
-
-        Computed once per operator; a sparse matrix is densified first.
-        """
-        dense = self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
-        try:
-            return np.linalg.eigvalsh(dense.astype(np.float64))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"eigensolver failed on cluster with root vertex "
-                f"{int(self.cluster.vertices[0])}: {exc}"
-            ) from exc
-
-    @functools.cached_property
-    def shifted(self) -> "ShiftedMatrix":
-        """Storage for the sparse factorizations of ``matrix - E*I``;
-        its elimination order is fixed by the first one."""
-        return ShiftedMatrix(self.matrix)
+        """All eigenvalues, ascending, from the dense symmetric solver."""
+        return _eigvalsh(self.matrix, self.cluster)
 
 
 class ShiftedMatrix:
-    """float64 CSC of P A P^T, refilled with P (A - E I) P^T per energy.
+    """float64 CSC of P (Delta_bc - E I) P^T on one cluster, for every
+    boundary condition bc and energy E of its sparse inertia counts.
 
-    Every column stores its diagonal entry, at ``diag_pos`` in
-    ``matrix.data``, so :meth:`at` rewrites values and never the
-    sparsity pattern.  P is the identity, with ``perm`` None, until
-    :meth:`reorder` sets it to the column order of a first
-    factorization.  A - E I has the same pattern at every energy, so
-    that order serves every later one.
+    The three Laplacians differ only on the diagonal
+    (:meth:`BoundaryCondition.diagonal`), so the -1 of every edge is
+    stored once, and every column stores its diagonal entry, at
+    ``diag_pos`` in ``matrix.data``: :meth:`at` rewrites values and
+    never the sparsity pattern.  P is the identity, with ``perm`` None,
+    until :meth:`reorder` sets it to the column order of the first
+    factorization, under whichever condition comes first.  The pattern
+    is the same at every energy and condition, so that order serves
+    every later factorization.  The dense spectra of the counts'
+    fallback are kept by condition (:meth:`spectrum`).
     """
 
-    def __init__(self, source):
-        self._source = source  # the operator's integer matrix, dense or sparse
+    def __init__(self, cluster: Cluster):
+        self.cluster = cluster
         self.perm = None
-        self._build(np.arange(source.shape[0]))
+        self._spectra = {}
+        self._build(np.arange(cluster.n_vertices))
 
     def _build(self, perm: np.ndarray) -> None:
-        """Entry (i, j) of the source goes to (perm[i], perm[j])."""
-        from scipy.sparse import coo_matrix, csc_matrix
+        """Vertex i goes to row and column perm[i]."""
+        from scipy.sparse import csc_matrix
 
-        coo = coo_matrix(self._source)
-        n = coo.shape[0]
-        # an extra 0.5 on the diagonal keeps every diagonal entry stored,
-        # also a zero one (the Neumann matrix of an isolated vertex)
-        rows = perm[np.concatenate((coo.row, np.arange(n)))]
-        cols = perm[np.concatenate((coo.col, np.arange(n)))]
-        data = np.concatenate((coo.data.astype(np.float64), np.full(n, 0.5)))
+        n, (u, v) = self.cluster.n_vertices, self.cluster.edges.T
+        diag = np.arange(n)
+        rows = perm[np.concatenate((u, v, diag))]
+        cols = perm[np.concatenate((v, u, diag))]
+        # every diagonal entry is stored, with a placeholder that at() overwrites
+        data = np.concatenate((np.full(u.size * 2, -1.0), np.ones(n)))
         self.matrix = csc_matrix((data, (rows, cols)), shape=(n, n))
-        column = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
+        column = np.repeat(diag, np.diff(self.matrix.indptr))
         self.diag_pos = np.flatnonzero(self.matrix.indices == column)
-        self.diag = self.matrix.data[self.diag_pos] - 0.5
+        self._vertex = np.argsort(perm)  # the vertex stored at each position
 
     def reorder(self, perm: np.ndarray) -> None:
-        """Store the matrix as P A P^T, with P taking index i to perm[i]."""
+        """Store the matrix in the order ``perm``: P takes index i to perm[i]."""
         self.perm = np.asarray(perm)
         self._build(self.perm)
 
-    def at(self, E: float):
-        """The stored matrix, with its diagonal set to diag(P A P^T) - E."""
-        self.matrix.data[self.diag_pos] = self.diag - E
+    def at(self, bc: BoundaryCondition, E: float):
+        """The stored matrix, with its diagonal set to that of
+        P (Delta_bc - E I) P^T."""
+        diag = bc.diagonal(self.cluster.degrees, self.cluster.d)
+        self.matrix.data[self.diag_pos] = diag[self._vertex] - E
         return self.matrix
+
+    def spectrum(self, bc: BoundaryCondition) -> np.ndarray:
+        """All eigenvalues of Delta_bc, ascending, computed at most once
+        per mirror pair: with the mirror's spectrum held, 4d minus it,
+        reversed (:attr:`BoundaryCondition.mirror`); otherwise by the
+        dense solver on the matrix in vertex order (:func:`dense_stack`).
+        Pseudo-Dirichlet is its own mirror, so it is always solved."""
+        eigs = self._spectra.get(bc)
+        if eigs is None:
+            held = self._spectra.get(bc.mirror)
+            if held is not None:
+                eigs = 4 * self.cluster.d - held[::-1]
+            else:
+                eigs = _eigvalsh(dense_stack([self.cluster], bc)[0], self.cluster)
+            self._spectra[bc] = eigs
+        return eigs
 
 
 def assemble(cluster: Cluster, bc: BoundaryCondition) -> SymmetricOperator:
-    """Degree/adjacency combination for the requested boundary condition."""
-    n = cluster.n_vertices
-    if n > DENSE_THRESHOLD:
-        from scipy.sparse import csc_matrix
-
-        diag = bc.diagonal(cluster.degrees, cluster.d)
-        u, v = cluster.edges[:, 0], cluster.edges[:, 1]
-        rows = np.concatenate((np.arange(n), u, v))
-        cols = np.concatenate((np.arange(n), v, u))
-        data = np.concatenate((diag, np.full(2 * cluster.n_edges, -1, dtype=np.int64)))
-        return SymmetricOperator(cluster, bc, csc_matrix((data, (rows, cols)), shape=(n, n)))
+    """Dense degree/adjacency combination for the requested boundary
+    condition; a cluster above the dense threshold is refused before
+    anything is allocated."""
+    require_dense(cluster.n_vertices)
     return SymmetricOperator(cluster, bc, dense_stack([cluster], bc)[0])
 
 

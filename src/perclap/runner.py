@@ -17,9 +17,9 @@ from . import kernels
 from .config import ExperimentConfig
 from .exceptions import DomainError, InsufficientDataError, PerclapError
 from .isoperimetry import VIOLATION_KINDS, check_stack
-from .laplacian import ALL_BCS, BoundaryCondition
+from .laplacian import ALL_BCS, BoundaryCondition, require_dense
 from .lattice import LatticeBox, ShapeEnsemble, graph_to_json_dict, sample_graph
-from .spectral import default_grid, empirical_ids, require_dense, shape_spectra
+from .spectral import default_grid, empirical_ids, shape_spectra
 from .tails import analytic_tail_fit, cluster_size_decay, decay_domain_problem, fit_tail
 
 ANALYTIC_TAILS_D1_ONLY = "analytic tail fits require d = 1"

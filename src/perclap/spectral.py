@@ -14,7 +14,8 @@ each grid energy below 4d from the pivot signs of a sparse SuperLU
 factorization (Sylvester's law of inertia), and at E >= 4d (1 - 1e-12)
 returns the vertex count, as the pooled IDS's snap does.  Only at an
 energy where that factorization breaks down twice does it read the
-count off the shape's dense spectrum, computed once per operator.
+count off the shape's dense spectrum, computed at most once per mirror
+pair of conditions.
 
 :func:`giant_grid_counts` makes those counts for one such shape and
 keeps them in the run's cache.  Lattice clusters are bipartite, so
@@ -22,9 +23,10 @@ each condition has the spectrum of 4d minus that of its mirror
 (:attr:`~perclap.laplacian.BoundaryCondition.mirror`): one clean
 factorization at E counts its own condition at E and the mirror
 condition at the grid energy paired with 4d - E
-(:func:`mirror_partners`).  The shape's three operators share one
-elimination order, fixed by its first factorization; later energies
-are factored in that order without ordering again.  The counting
+(:func:`mirror_partners`).  The shape's three conditions share one
+sparse matrix (:class:`~perclap.laplacian.ShiftedMatrix`), stored in
+the elimination order of its first factorization; later energies and
+conditions are factored in that order without ordering again.  The counting
 convention is right-continuous throughout: N(E) counts eigenvalues <= E.
 """
 
@@ -37,10 +39,11 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .config import GRID_POINTS, GRID_REFINE
-from .exceptions import DomainError, NumericError
+from .exceptions import NumericError
 from .laplacian import (
     DENSE_THRESHOLD,
     BoundaryCondition,
+    ShiftedMatrix,
     SymmetricOperator,
     assemble,
     dense_stack,
@@ -57,15 +60,8 @@ def zero_tolerance(d: int) -> float:
     return ZERO_TOL_FACTOR * 4 * d
 
 
-def require_dense(n: int) -> None:
-    """Refuse a dense solve of an n-vertex cluster above the threshold."""
-    if n > DENSE_THRESHOLD:
-        raise DomainError(f"cluster size {n} above dense threshold {DENSE_THRESHOLD}")
-
-
 def eigenvalues(op: SymmetricOperator) -> np.ndarray:
     """All eigenvalues, ascending (dense symmetric solver)."""
-    require_dense(op.n)
     return op.spectrum
 
 
@@ -74,20 +70,21 @@ def _refused(E: float) -> bool:
     return not math.isfinite(E) or float(E).is_integer()
 
 
-def _lu_pivots(op: SymmetricOperator, E: float):
-    """diag(U) of a sparse symmetric-mode LU of (matrix - E*I), or None.
+def _lu_pivots(matrix: ShiftedMatrix, bc: BoundaryCondition, E: float):
+    """diag(U) of a sparse symmetric-mode LU of (Delta_bc - E*I), or None.
 
     Without row pivoting and with ``perm_r == perm_c``, SuperLU factors
     P (A - E I) P^T = L U, and U = D L^T with D the pivots of an LDL^T
     congruence.  None when SuperLU finds the matrix exactly singular or
     the permutations differ, so that the factorization is no congruence.
 
-    The matrix factored is ``op.shifted``
-    (:class:`~perclap.laplacian.ShiftedMatrix`) with its diagonal set for
-    E.  Its first factorization orders the columns by MMD on A + A^T and
-    stores the matrix in that order; A - E I has the same pattern at every
-    energy, so every later factorization of the operator keeps that order
-    (``NATURAL``) and skips the ordering step.  ``panel_size=1`` is a
+    The matrix factored is the shape's one
+    :class:`~perclap.laplacian.ShiftedMatrix`, with its diagonal set for
+    bc and E.  Its first factorization, under any condition, orders the
+    columns by MMD on A + A^T and stores the matrix in that order;
+    Delta_bc - E I has the same pattern at every energy and condition, so
+    every later factorization of the shape keeps that order (``NATURAL``)
+    and skips the ordering step.  ``panel_size=1`` is a
     measured constant (2-vCPU AMD EPYC, scipy 1.17): on Neumann operators
     of 2.7k, 24k and 62k vertices a factorization in the stored order took
     1.9, 12 and 42 ms with it and 3.3, 27 and 94 ms with SuperLU's default
@@ -104,20 +101,19 @@ def _lu_pivots(op: SymmetricOperator, E: float):
     """
     if _refused(E):
         return None
-    shifted = op.shifted
     try:
         lu = scipy.sparse.linalg.splu(
-            shifted.at(E), permc_spec="MMD_AT_PLUS_A" if shifted.perm is None else "NATURAL",
+            matrix.at(bc, E), permc_spec="MMD_AT_PLUS_A" if matrix.perm is None else "NATURAL",
             diag_pivot_thresh=0.0, options={"SymmetricMode": True}, panel_size=1)
     except RuntimeError as exc:
         if "exactly singular" in str(exc):
             return None
         raise NumericError(
             f"sparse LU failed on cluster with root vertex "
-            f"{int(op.cluster.vertices[0])} at E={E}: {exc}"
+            f"{int(matrix.cluster.vertices[0])} at E={E}: {exc}"
         ) from exc
-    if shifted.perm is None:
-        shifted.reorder(lu.perm_c)
+    if matrix.perm is None:
+        matrix.reorder(lu.perm_c)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu.U.diagonal()
@@ -134,12 +130,13 @@ def _counts_all(E: float, width: float) -> bool:
     return E >= width * (1.0 - ATOM_TOL_FACTOR)
 
 
-def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
-              report_clean: bool = False):
-    """Number of eigenvalues <= E via the inertia of (matrix - E*I).
+def count_leq(matrix: ShiftedMatrix, bc: BoundaryCondition, E: float, _shift: bool = True,
+              *, report_clean: bool = False):
+    """Number of eigenvalues <= E of Delta_bc on ``matrix.cluster``, via
+    the inertia of (Delta_bc - E*I).
 
-    ``op.matrix`` may be dense or sparse.  For E >= 4d (1 - 1e-12) the
-    count is ``op.n`` without a factorization (:func:`_counts_all`).
+    For E >= 4d (1 - 1e-12) the count is the vertex count n without a
+    factorization (:func:`_counts_all`).
     Below that, by Sylvester's law of inertia,
     the count is the number of negative pivots of the congruence
     L D L^T of :func:`_lu_pivots`.  That factorization breaks down when
@@ -150,10 +147,10 @@ def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
     At an integer E, or on a breakdown, ``count_leq`` calls itself once
     at E + 1e-12 * 4d, which puts an eigenvalue at E on the counted side.
     If the sparse factorization breaks down there too, the count at that
-    shifted energy is read off the operator's dense spectrum
-    (:attr:`~perclap.laplacian.SymmetricOperator.spectrum`, computed at
-    most once per operator), the same snap convention as the pooled
-    IDS.  Unpivoted sparse LU cannot get past energies where a giant
+    shifted energy is read off the dense spectrum
+    (:meth:`~perclap.laplacian.ShiftedMatrix.spectrum`, computed at most
+    once per mirror pair of conditions), the same snap convention as the
+    pooled IDS.  Unpivoted sparse LU cannot get past energies where a giant
     cluster has an eigenvalue of high multiplicity (Neumann E = 1 or 2,
     pseudo-Dirichlet E = 2d).  The planned integer shift is logged at
     DEBUG, breakdowns and the dense fallback at WARNING.  ``_shift`` is
@@ -162,29 +159,30 @@ def count_leq(op: SymmetricOperator, E: float, _shift: bool = True, *,
     With ``report_clean`` the result is ``(count, clean)``.  ``clean`` is
     True when the count was read off one factorization at E itself with
     no pivot near 0: then no eigenvalue equals E, and the other
-    ``op.n - count`` eigenvalues are all > E.
+    ``n - count`` eigenvalues are all > E.
     """
     clean = False
-    if _counts_all(E, op.spectral_width):
-        count = op.n
+    width = 4 * matrix.cluster.d
+    if _counts_all(E, width):
+        count = matrix.cluster.n_vertices
     else:
-        pivots = _lu_pivots(op, E)
-        breakdown = ZERO_TOL_FACTOR * 1e-3 * op.spectral_width  # |pivot| ~ 0
+        pivots = _lu_pivots(matrix, bc, E)
+        breakdown = ZERO_TOL_FACTOR * 1e-3 * width  # |pivot| ~ 0
         clean = pivots is not None and bool(np.abs(pivots).min() >= breakdown)
         if clean:
             count = int(np.count_nonzero(pivots < 0.0))
         elif _shift:
-            shifted = E + ATOM_TOL_FACTOR * op.spectral_width
+            shifted = E + ATOM_TOL_FACTOR * width
             if _refused(E):
                 log.debug("inertia count at E=%.17g is not factored, counting at E=%.17g",
                           E, shifted)
             else:
                 log.warning("inertia count at E=%.17g broke down, retrying at E=%.17g",
                             E, shifted)
-            count = count_leq(op, shifted, _shift=False)
+            count = count_leq(matrix, bc, shifted, _shift=False)
         else:
             log.warning("inertia count at E=%.17g broke down, counting the dense spectrum", E)
-            count = int(np.searchsorted(op.spectrum, E, side="right"))
+            count = int(np.searchsorted(matrix.spectrum(bc), E, side="right"))
     return (count, clean) if report_clean else count
 
 
@@ -208,10 +206,10 @@ def mirror_partners(grid: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass
 class GiantCounts:
-    """Grid counts of one shape above :data:`DENSE_THRESHOLD`, shared by
-    its three operators through the run's cache."""
+    """Grid counts of one shape above :data:`DENSE_THRESHOLD` under its
+    three conditions, and the one sparse matrix they factor."""
 
-    perm: np.ndarray | None = None  # elimination order of the shape's first factorization
+    matrix: ShiftedMatrix
     counts: dict = field(default_factory=dict)  # (bc value, E) -> eigenvalues <= E
     mirrored: set = field(default_factory=set)  # keys of counts read off a mirror's pivots
 
@@ -221,11 +219,12 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     """Eigenvalues <= E of one shape above the dense threshold under ``bc``,
     at every energy of ``grid``, as an int64 array.
 
-    The shape's counts and elimination order are kept in ``cache`` under
+    The shape's counts and its one
+    :class:`~perclap.laplacian.ShiftedMatrix` are kept in ``cache`` under
     ``("giant", cluster.canonical_key())`` (a :class:`GiantCounts`), so
     a later call for any boundary condition reads what an earlier one
-    found.  The first factorization of any of the shape's operators fixes
-    the elimination order of all three.
+    found, and factors in the elimination order that the shape's first
+    factorization fixed.
 
     Every eigenvalue counts at E >= 4d (1 - 1e-12) (:func:`_counts_all`);
     each energy below is counted by :func:`count_leq`.  One clean
@@ -243,11 +242,13 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     """
     d, n = cluster.d, cluster.n_vertices
     snap = ATOM_TOL_FACTOR * 4 * d
-    shape = cache.setdefault(("giant", cluster.canonical_key()), GiantCounts())
+    slot = ("giant", cluster.canonical_key())
+    shape = cache.get(slot)
+    if shape is None:
+        shape = cache[slot] = GiantCounts(ShiftedMatrix(cluster))
     mirror = bc.mirror
     partners = mirror_partners(grid, d)
     out = np.empty(grid.size, dtype=np.int64)
-    op = None
     tally = Counter()
     for i in np.argsort(grid > 2 * d, kind="stable").tolist():
         E = float(grid[i])
@@ -260,11 +261,7 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
             out[i] = n
             tally["unfactored"] += 1
         else:
-            if op is None:
-                op = assemble(cluster, bc)
-                if shape.perm is not None:
-                    op.shifted.reorder(shape.perm)
-            out[i], clean = count_leq(op, E, report_clean=True)
+            out[i], clean = count_leq(shape.matrix, bc, E, report_clean=True)
             tally["factored" if clean else "shifted"] += 1
             j = int(partners[i])
             if clean and j >= 0 and snap <= E <= 4 * d - snap:
@@ -275,8 +272,6 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
                     shape.counts[mkey] = n - int(out[i])  # the eigenvalues > E
                     shape.mirrored.add(mkey)
         shape.counts[key] = int(out[i])
-    if op is not None and shape.perm is None:
-        shape.perm = op.shifted.perm
     log.debug("bc %s, giant shape of %d vertices: %d energies factored, %d mirrored, "
               "%d shifted, %d unfactored (E >= 4d), %d cached",
               bc.value, n, tally["factored"], tally["mirrored"], tally["shifted"],

@@ -25,7 +25,6 @@ from perclap import (
 )
 from perclap.isoperimetry import (
     EXHAUSTIVE_CUTOFF,
-    REFLECTION_MAX_VERTICES,
     VIOLATION_KINDS,
     check_stack,
     cheeger_margin,
@@ -205,17 +204,17 @@ def test_check_stack_counts_each_violation_kind():
         assert counts[kind].tolist() == ([0, 2, 0] if kind == "range" else [0, 0, 0]), kind
 
 
-def test_check_stack_reflection_size_cap():
+def test_check_stack_reflection_at_any_size():
     """An off Dirichlet row between clean ones is a reflection violation
-    up to the size cap and nothing above it."""
+    at every vertex count, 500 and above too."""
     grid = np.linspace(0.0, 4.0, 65)
-    for n in (REFLECTION_MAX_VERTICES, REFLECTION_MAX_VERTICES + 1):
+    for n in (5, 500, 501, 700):
         c = make_linear_cluster(n, 1)
         spectra = _stack([spectra_of(c)] * 3)
         spectra[D][1, 0] += 1e-6
         counts, _ = check_stack([c] * 3, spectra, grid)
-        assert counts["reflection"].tolist() == [0, int(n <= REFLECTION_MAX_VERTICES), 0]
-        assert sum(counts.values()).tolist() == counts["reflection"].tolist()
+        assert counts["reflection"].tolist() == [0, 1, 0], n
+        assert sum(counts.values()).tolist() == [0, 1, 0], n
 
 
 @st.composite

@@ -6,7 +6,7 @@ from conftest import chain_holds, reference_laplacian, reflection_deviation, spe
 from perclap import LatticeBox, clusters, make_cubic_cluster, make_linear_cluster, sample_graph
 from perclap.isoperimetry import REFLECTION_TOL
 from perclap.kernels import derive_seed
-from perclap.laplacian import ALL_BCS, assemble
+from perclap.laplacian import ALL_BCS, ShiftedMatrix, assemble
 from perclap.lattice import make_cluster
 
 N, DT, D = ALL_BCS
@@ -117,3 +117,29 @@ def test_operators_symmetric_integer(small_ensemble):
             m = assemble(c, bc).matrix
             assert m.dtype == np.int64
             assert np.array_equal(m, m.T)
+
+
+def test_giant_matrix_holds_every_condition_in_its_stored_order(small_ensemble):
+    """A ShiftedMatrix stores one -1 per edge end and every diagonal entry,
+    an isolated vertex's zero Neumann one too, and at(bc, E) is
+    P (Delta_bc - E I) P^T with the diagonal permuted like the rest,
+    as built (P = I) and after a reorder."""
+    rng = np.random.default_rng(3)
+
+    def assert_stored(matrix, perm):
+        n = perm.size
+        for bc in ALL_BCS:
+            want = np.empty((n, n))
+            shifted = reference_laplacian(matrix.cluster, bc.value) - 0.25 * np.eye(n)
+            want[np.ix_(perm, perm)] = shifted
+            assert matrix.at(bc, 0.25).toarray().tolist() == want.tolist(), bc
+
+    for g in small_ensemble:
+        cs = clusters(g)
+        for c in (max(cs, key=lambda c: c.n_vertices), min(cs, key=lambda c: c.n_vertices)):
+            matrix = ShiftedMatrix(c)
+            assert matrix.matrix.nnz == 2 * c.n_edges + c.n_vertices
+            assert_stored(matrix, np.arange(c.n_vertices))
+            perm = rng.permutation(c.n_vertices)
+            matrix.reorder(perm)
+            assert_stored(matrix, perm)

@@ -128,6 +128,23 @@ MUTANTS = (
         "not settle",
     ),
     Mutant(
+        "diagonal-in-vertex-order", "laplacian.py",
+        "self.matrix.data[self.diag_pos] = diag[self._vertex] - E",
+        "self.matrix.data[self.diag_pos] = diag - E",
+        "count_leq or giant or mirror",
+        "after the first factorization a giant shape's matrix is stored "
+        "permuted; a diagonal written in vertex order puts each degree on "
+        "another vertex",
+    ),
+    Mutant(
+        "reflected-fallback-unreversed", "laplacian.py",
+        "eigs = 4 * self.cluster.d - held[::-1]",
+        "eigs = 4 * self.cluster.d - held",
+        "count_leq or giant or mirror",
+        "spec(D) is 4d minus spec(N) reversed; unreversed it descends, and "
+        "the fallback's searchsorted count is wrong",
+    ),
+    Mutant(
         "stacked-solve-unchunked", "spectral.py",
         "per_chunk = DENSE_THRESHOLD ** 2 // (n * n)",
         "per_chunk = len(missing)",
