@@ -13,7 +13,7 @@ from .exceptions import ConfigurationError
 TASKS = ("ids", "verify", "tails", "decay", "all")
 BC_NAMES = ("N", "Dt", "D")
 # cluster labeling and the shape table's key columns and rows hold
-# vertex indices and coordinates as int32
+# vertex indices and index offsets as int32
 MAX_VERTICES = 2**31 - 1
 # the counter-based RNG keys on a uint64 seed; a larger seed would alias
 MAX_SEED = 2**64 - 1
@@ -111,9 +111,10 @@ def validate(cfg: ExperimentConfig) -> list:
         not isinstance(cfg.boundary_conditions, (list, tuple))
         or not cfg.boundary_conditions
         or any(b not in BC_NAMES for b in cfg.boundary_conditions)
+        or len(set(cfg.boundary_conditions)) < len(cfg.boundary_conditions)
     ):
         problems.append(
-            f"boundary_conditions must be a nonempty subset of {BC_NAMES}, "
+            f"boundary_conditions must be a nonempty list of distinct names from {BC_NAMES}, "
             f"got {cfg.boundary_conditions!r}"
         )
     need_int("seed", 0)

@@ -286,9 +286,9 @@ class ShapeEnsemble:
     Isolated vertices never enter the key table: they are the vertices
     that no other cluster holds, and their shape's representative is the
     first of them.  The keys of the other clusters are compared in bulk
-    over the whole ensemble, on the values ``canonical_key()`` hashes:
-    grouped by vertex and edge count, equal int32 rows of coordinates
-    minus their per-axis minimum and local edges are found by a stable
+    over the whole ensemble: grouped by vertex and edge count, equal
+    int32 rows of vertex index offsets and local edges, equal exactly
+    when the ``canonical_key()`` values are, are found by a stable
     lexsort.  Each distinct key gets a read-only int64 representative
     rebuilt from its first cluster's key material.
     """
@@ -316,8 +316,10 @@ class ShapeEnsemble:
         ids = np.empty(firsts.size, dtype=np.int64)
         ids[by_size] = np.arange(len(self.shapes), len(self.shapes) + firsts.size)
         self.order = ids[np.searchsorted(firsts, head)]
-        self.shapes += [keys.representative(c) for c in firsts[by_size].tolist()]
-        self.bounds = _group_bounds(np.array([c.n_vertices for c in self.shapes]))
+        ranked = firsts[by_size]
+        sizes = np.concatenate((np.ones(len(self.shapes), np.int32), keys.sizes[ranked]))
+        self.bounds = _group_bounds(sizes)
+        self.shapes += [keys.representative(c) for c in ranked.tolist()]
         n_isolated = self.total_vertices - int(keys.sizes.sum())
         self.counts = np.bincount(self.order, minlength=len(self.shapes))
         self.counts[0] += n_isolated
@@ -369,16 +371,18 @@ class _KeyMaterial:
 
     def rows(self, members, n, ne):
         """Int32 key rows of clusters with n vertices and ne edges: the
-        coordinates minus their per-cluster minimum, axis by axis, then
-        the local edges.  Two rows are equal exactly when the clusters'
-        ``canonical_key()`` values are."""
-        d, side = self.box.d, self.box.L
-        rows = np.empty((members.size, d * n + 2 * ne), dtype=np.int32)
+        vertex indices minus the first (smallest), then the local edges.
+        Two rows are equal exactly when the clusters' ``canonical_key()``
+        values are: translates have equal offsets, as the index is linear
+        in the coordinates; conversely every edge joins lattice neighbours,
+        so its index difference is L**a for exactly one axis a, and walking
+        a keyed (connected) cluster's edges from its first vertex fixes
+        every coordinate.  Offsets alone are not enough: in d = 2 the steps
+        (L - 1, 0) and (-1, 1) both give L - 1."""
+        rows = np.empty((members.size, n + 2 * ne), dtype=np.int32)
         vertices = self.vertices[self.vstart[members, None] + np.arange(n)]
-        for axis in range(d):
-            coord = vertices // side ** axis % side
-            rows[:, axis * n:(axis + 1) * n] = coord - coord.min(axis=1, keepdims=True)
-        rows[:, d * n:] = self.edges[self.estart[members, None] + np.arange(2 * ne)]
+        rows[:, :n] = vertices - vertices[:, :1]
+        rows[:, n:] = self.edges[self.estart[members, None] + np.arange(2 * ne)]
         return rows
 
     def first_seen(self):

@@ -233,10 +233,10 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     :func:`mirror_partners`: its count there is n - count, when g is not
     an integer and E lies at least the snap 1e-12 * 4d above 0.  Below
     that, the eigenvalues > E leave out the partner's eigenvalue at 4d,
-    the mirror of the zero mode, which the snap counts at g.  For a
-    pseudo-Dirichlet energy E < 2d the partner is above 2d; those are
-    counted last, so they are read off their partner's factorization
-    rather than factored.  Integer energies,
+    the mirror of the zero mode, which the snap counts at g.  A held count
+    is never mirrored over, and the grid is walked upward (it is sorted
+    in :func:`empirical_ids`), so pseudo-Dirichlet, its own mirror, reads
+    its energies above 2d off their partners.  Integer energies,
     unpaired ones and partners of unclean factorizations keep
     :func:`count_leq` with its shifted retry and dense fallback.
     """
@@ -250,7 +250,7 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
     partners = mirror_partners(grid, d)
     out = np.empty(grid.size, dtype=np.int64)
     tally = Counter()
-    for i in np.argsort(grid > 2 * d, kind="stable").tolist():
+    for i in range(grid.size):
         E = float(grid[i])
         key = (bc.value, E)
         if key in shape.counts:
@@ -264,11 +264,10 @@ def giant_grid_counts(cluster: Cluster, bc: BoundaryCondition, grid: np.ndarray,
             out[i], clean = count_leq(shape.matrix, bc, E, report_clean=True)
             tally["factored" if clean else "shifted"] += 1
             j = int(partners[i])
-            if clean and j >= 0 and snap <= E <= 4 * d - snap:
+            if clean and j >= 0 and snap <= E:
                 g = float(grid[j])
                 mkey = (mirror.value, g)
-                if (not _refused(g) and mkey not in shape.counts
-                        and (mirror is not bc or E < 2 * d < g)):
+                if not _refused(g) and mkey not in shape.counts:
                     shape.counts[mkey] = n - int(out[i])  # the eigenvalues > E
                     shape.mirrored.add(mkey)
         shape.counts[key] = int(out[i])
@@ -382,15 +381,14 @@ class EmpiricalIDS:
     near-singular pivots.
     """
 
-    bc: BoundaryCondition
     d: int
     total_vertices: int
     values: np.ndarray  # sorted distinct-shape spectra, each shape once
     cumulative: np.ndarray  # int64, size values.size + 1, starts at 0
     grid: np.ndarray  # sorted, distinct
     n_clusters: int
-    grid_collisions: np.ndarray = field(default_factory=lambda: np.empty(0))
-    extra_grid_counts: np.ndarray | None = None  # clusters above dense threshold
+    grid_collisions: np.ndarray  # grid energies within the snap of a pooled eigenvalue
+    extra_grid_counts: np.ndarray  # int64 per grid energy, from shapes above dense threshold
     grid_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -405,10 +403,8 @@ class EmpiricalIDS:
         E = np.asarray(E, dtype=np.float64)
         snap = ATOM_TOL_FACTOR * 4 * self.d
         counts = self.cumulative[np.searchsorted(self.values, E + snap, side="right")]
-        counts = counts.astype(np.float64)
-        if self.extra_grid_counts is not None:
-            pos = np.searchsorted(self.grid, E, side="right") - 1
-            counts += np.where(pos >= 0, self.extra_grid_counts[np.maximum(pos, 0)], 0)
+        extra = np.concatenate(([0], self.extra_grid_counts))  # 0 below the grid
+        counts = counts + extra[np.searchsorted(self.grid, E, side="right")]
         return counts / self.total_vertices
 
 
@@ -430,11 +426,10 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         cache = _SPECTRUM_CACHE
     stacks = shape_spectra(ensemble, bc, cache)
     bounds = ensemble.bounds.tolist()
-    extra = None
+    extra = np.zeros(grid.size, dtype=np.int64)
     giants = bounds[len(stacks)]  # the first shape above the dense threshold
     for c, m in zip(ensemble.shapes[giants:], ensemble.counts[giants:].tolist()):
-        inertia = m * giant_grid_counts(c, bc, grid, cache)
-        extra = inertia if extra is None else extra + inertia
+        extra += m * giant_grid_counts(c, bc, grid, cache)
     if stacks:
         values = np.concatenate([s.ravel() for s in stacks])
         rank = np.argsort(values, kind="stable")
@@ -457,7 +452,6 @@ def empirical_ids(graphs, bc: BoundaryCondition, grid=None, cache=None) -> Empir
         log.info("%d grid points collide with detected eigenvalues", collisions.size)
 
     return EmpiricalIDS(
-        bc=bc,
         d=ensemble.d,
         total_vertices=ensemble.total_vertices,
         values=values,

@@ -81,6 +81,8 @@ def test_invalid_values_rejected():
         {**MINIMAL, "L": 1},
         {**MINIMAL, "realizations": 0},
         {**MINIMAL, "boundary_conditions": ["N", "X"]},
+        # each name once: a repeat would compute and write one IDS twice
+        {**MINIMAL, "boundary_conditions": ["N", "N", "D"]},
         {**MINIMAL, "tail_mode": "magic"},
         {**MINIMAL, "tail_window": [1e-2, 1e-8]},
         {**MINIMAL, "grid_points": 2.5},

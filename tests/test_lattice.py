@@ -444,6 +444,10 @@ def test_shape_ensemble_builds_one_cluster_per_distinct_key(monkeypatch):
 @example(1, 9, [(0.0, 1), (0.5, 2), (1.0, 3)])
 @example(1, 1, [(0.5, 1)])
 @example(3, 4, [(1.0, 1), (0.4, 2)])
+@example(2, 2, [(0.7, 38), (0.7, 39), (0.7, 40)])
+@example(2, 3, [(0.7, 3), (0.7, 4)])
+@example(3, 2, [(0.7, 7), (0.7, 8), (0.7, 9), (0.7, 10)])
+@example(3, 3, [(0.7, 5), (0.7, 6)])
 def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, L, realizations):
     """One box per example, p from 0 to 1: groups of one member and
     isolated vertices all reach the bulk key, and the shapes are
@@ -454,7 +458,13 @@ def test_shape_ensemble_property_matches_first_seen_canonical_grouping(d, L, rea
     then p = 0), after a giant cluster 0 (p = 0.8, as in the d2_giant
     workload), and as the only shape (p = 0 alone, or a box of one
     vertex).  At p = 1 the box's highest vertex is reached only as the
-    upper end of its edges."""
+    upper end of its edges.
+
+    The bulk key holds vertex index offsets and local edges.  In small,
+    dense boxes (d = 2 and 3, L = 2 and 3, p = 0.7) offsets of different
+    steps coincide most often, as (L - 1, 0) and (-1, 1) in d = 2: there
+    distinct shapes share their offsets and only the edges tell them
+    apart, while translates share both."""
     graphs = [sample_graph(LatticeBox(d, L), p, seed) for p, seed in realizations]
     ensemble = ShapeEnsemble(graphs)
     cs = [c for g in graphs for c in _reference_clusters(g)]

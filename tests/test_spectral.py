@@ -228,7 +228,7 @@ def test_empirical_ids_evaluates_giant_counts_on_an_unsorted_grid(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 4)
     monkeypatch.setattr(perclap.laplacian, "DENSE_THRESHOLD", 4)
     ids = empirical_ids([g], N, grid=grid, cache={})
-    assert ids.extra_grid_counts is not None
+    assert ids.extra_grid_counts.any()
     want = [0.8125, 0.421875, 0.984375, 0.546875]
     assert dense.evaluate(grid).tolist() == ids.evaluate(grid).tolist() == want
     assert ids.grid.tolist() == sorted(grid)
@@ -250,7 +250,7 @@ def test_empirical_ids_pool_matches_per_shape_weights(monkeypatch):
         ids = empirical_ids(ensemble, bc, cache=cache)
         spectra = [row for stack in shape_spectra(ensemble, bc, cache) for row in stack]
         dense = len(spectra)
-        assert ids.extra_grid_counts is not None and dense < len(ensemble.shapes)
+        assert ids.extra_grid_counts.any() and dense < len(ensemble.shapes)
         assert all(c.n_vertices > 6 for c in ensemble.shapes[dense:])
         assert max(counts[:dense]) > 1
         values = np.concatenate(spectra)

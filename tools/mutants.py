@@ -97,7 +97,7 @@ MUTANTS = (
     ),
     Mutant(
         "mirror-across-snap-window", "spectral.py",
-        "if clean and j >= 0 and snap <= E <= 4 * d - snap:",
+        "if clean and j >= 0 and snap <= E:",
         "if clean and j >= 0:",
         "threshold_sweep or integer_energy_is_never_mirrored or mirrored_giant",
         "below the snap, n - count leaves out the mirror's eigenvalue at 4d, "
@@ -105,8 +105,8 @@ MUTANTS = (
     ),
     Mutant(
         "mirror-unclean-partner", "spectral.py",
-        "if clean and j >= 0 and snap <= E <= 4 * d - snap:",
-        "if j >= 0 and snap <= E <= 4 * d - snap:",
+        "if clean and j >= 0 and snap <= E:",
+        "if j >= 0 and snap <= E:",
         "broken_down_partner",
         "n - count is the mirror's count only when no eigenvalue lies at E: "
         "a shifted or broken-down count must not be mirrored",
@@ -154,8 +154,8 @@ MUTANTS = (
     ),
     Mutant(
         "mirror-integer-partner", "spectral.py",
-        "if (not _refused(g) and mkey not in shape.counts",
-        "if (mkey not in shape.counts",
+        "if not _refused(g) and mkey not in shape.counts:",
+        "if mkey not in shape.counts:",
         "integer_partner_is_never_mirrored",
         "a clean factorization within the snap above an integer eigenvalue k "
         "leaves k out of the eigenvalues > E, but the integer partner 4d - k "
@@ -185,6 +185,22 @@ MUTANTS = (
         "shape_ensemble",
         "shapes of one vertex count keep their first-seen order; an "
         "unstable sort by count scrambles them",
+    ),
+    Mutant(
+        "key-without-offset", "lattice.py",
+        "rows[:, :n] = vertices - vertices[:, :1]",
+        "rows[:, :n] = vertices",
+        "shape_ensemble",
+        "translates have equal index offsets, not equal indices: keyed by "
+        "its indices, every translate is a shape of its own",
+    ),
+    Mutant(
+        "key-without-edges", "lattice.py",
+        "        rows[:, n:] = self.edges[self.estart[members, None] + np.arange(2 * ne)]\n",
+        "        rows[:, n:] = 0\n",
+        "shape_ensemble",
+        "offsets alone do not fix a shape: in d = 2 the steps (L - 1, 0) "
+        "and (-1, 1) both give L - 1, and only the edges tell the two apart",
     ),
     Mutant(
         "isolated-vertices-uncounted", "lattice.py",
